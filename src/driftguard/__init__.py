@@ -9,10 +9,9 @@ from .diffing import (
     EvolutionDelta,
     EvolutionReport,
     Violation,
-    confidence_deltas,
+    compare,
     evaluate_epochs,
     evaluate_image,
-    label_set_delta,
 )
 from .ontology import OntologyChangeKind, OntologyTaxonomy, classify_ontology_change
 from .token import (
@@ -53,11 +52,10 @@ __all__ = [
     "ValidationError",
     "Violation",
     "classify_ontology_change",
-    "confidence_deltas",
+    "compare",
     "etag_of",
     "evaluate_epochs",
     "evaluate_image",
-    "label_set_delta",
     "mint_token",
     "parse_etag",
     "tune_thresholds",

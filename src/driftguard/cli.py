@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import logging
 import signal
 import sys
@@ -32,14 +31,14 @@ from .config import (
     resolve_config_path,
 )
 from .corpus import load_corpus_pair
-from .diffing import collect_violations, evaluate_epochs
+from .diffing import evaluate_epochs
 from .engine import GuardEngine, UpstreamUnreachable
 from .proxy import ProxyServer
 from .scheduler import OUTCOME_ABORTED, OUTCOME_ROTATED
 from .simulator import ScriptError, SimulatorServer, parse_script
 from .token import etag_of
 from .tuner import tune_thresholds
-from .types import ContractError
+from .types import ContractError, pretty_json
 from .wire import WireFormatError
 
 EXIT_OK = 0
@@ -200,7 +199,6 @@ def cmd_replay(args) -> int:
     except (ContractError, ManifestError, WireFormatError, OSError, ValueError) as exc:
         return _fail(str(exc), EXIT_INVALID_INPUT)
     report = evaluate_epochs(old_snapshot, new_snapshot, dataset, rules)
-    violations = collect_violations(old_snapshot, new_snapshot, dataset, rules)
     document = report.to_dict()
     document["violations"] = [
         {
@@ -209,9 +207,9 @@ def cmd_replay(args) -> int:
             "error_type": v.error_type,
             "reason": v.reason,
         }
-        for v in violations
+        for v in report.violations
     ]
-    print(json.dumps(document, sort_keys=True, ensure_ascii=False, indent=2))
+    print(pretty_json(document))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .types import (
     CATEGORY_CONFIDENCE_DELTA,
@@ -28,54 +29,6 @@ from .types import (
 )
 
 _EPOCH_ZERO = datetime.fromtimestamp(0, timezone.utc)
-
-
-def _require_same_image(old: LabelledResponse, new: LabelledResponse):
-    if old.image_ref != new.image_ref:
-        raise ContractError(
-            f"responses refer to different images: {old.image_ref!r} vs {new.image_ref!r}"
-        )
-
-
-def label_set_delta(old: LabelledResponse, new: LabelledResponse):
-    """Symmetric difference of the two label sets.
-
-    Returns (new_labels, dropped_labels, count) where count is
-    |new_labels| + |dropped_labels|.
-    """
-    _require_same_image(old, new)
-    old_labels = old.labels()
-    new_labels = new.labels()
-    added = new_labels - old_labels
-    dropped = old_labels - new_labels
-    return added, dropped, len(added) + len(dropped)
-
-
-def added_labels_in_order(old: LabelledResponse, new: LabelledResponse) -> list[str]:
-    """Labels gained in the new epoch, in the new response's rank order."""
-    old_labels = old.labels()
-    return [a.label for a in new.annotations if a.label not in old_labels]
-
-
-def dropped_labels_in_order(old: LabelledResponse, new: LabelledResponse) -> list[str]:
-    """Labels lost since the old epoch, in the old response's rank order."""
-    new_labels = new.labels()
-    return [a.label for a in old.annotations if a.label not in new_labels]
-
-
-def confidence_deltas(old: LabelledResponse, new: LabelledResponse) -> dict[str, float]:
-    """Signed confidence change (new minus old) for every matched label.
-
-    Keyed in the new response's rank order. Labels present in only one
-    epoch are excluded.
-    """
-    _require_same_image(old, new)
-    old_conf = old.confidences()
-    return {
-        ann.label: ann.confidence - old_conf[ann.label]
-        for ann in new.annotations
-        if ann.label in old_conf
-    }
 
 
 def trim_number(value) -> str:
@@ -112,13 +65,15 @@ def expected_labels_reason(missing: list[str]) -> str:
 
 @dataclass(frozen=True)
 class Violation:
-    """One threshold breach for one image, with the data its error payload needs."""
+    """One threshold breach for one image, with the data its error payload
+    needs; position is the image's dataset index (0 when checked alone)."""
 
     error_code: int
     category: str
     image_ref: str
     reason: str
     data: dict
+    position: int
 
     @property
     def error_type(self) -> str:
@@ -128,83 +83,125 @@ class Violation:
         return {**self.data, "uri": self.image_ref, "reason": self.reason}
 
 
+class Comparison(NamedTuple):
+    """One image pair, walked once: added labels in the new rank order,
+    dropped labels in the old one, and the signed confidence change (new
+    minus old) of every matched label. Both responses ride along so top and
+    detected labels are read only when needed."""
+
+    old: LabelledResponse
+    new: LabelledResponse
+    added: list[str]
+    dropped: list[str]
+    deltas: dict[str, float]
+
+    @property
+    def label_delta(self) -> int:
+        return len(self.added) + len(self.dropped)
+
+    def missing_expected(self, item: BenchmarkItem, rules: ThresholdRules) -> list[str]:
+        """Sorted expected labels (global and per item) absent from the new response."""
+        if self.old.image_ref != item.image_ref:
+            raise ContractError(
+                f"responses for {self.old.image_ref!r} evaluated against item {item.image_ref!r}"
+            )
+        return sorted((rules.expected_labels_global | item.expected_labels) - self.new.labels())
+
+    def violations(
+        self, item: BenchmarkItem, rules: ThresholdRules, position: int = 0
+    ) -> list[Violation]:
+        """The three benchmark checks, in code order (label delta, confidence
+        delta, expected labels). Comparators are >= threshold for both delta
+        checks."""
+        missing = self.missing_expected(item, rules)
+        found = []
+        if self.label_delta >= rules.max_delta_labels:
+            found.append(
+                Violation(
+                    error_code=CODE_LABEL_DELTA,
+                    category=CATEGORY_LABEL_DELTA,
+                    image_ref=item.image_ref,
+                    reason=label_delta_reason(
+                        rules.max_delta_labels, len(self.added), len(self.dropped)
+                    ),
+                    data={
+                        "delta_labels_threshold": rules.max_delta_labels,
+                        "delta_labels_detected": self.label_delta,
+                        "new_labels": self.added,
+                        "dropped_labels": self.dropped,
+                    },
+                    position=position,
+                )
+            )
+
+        flagged = {
+            label: delta
+            for label, delta in self.deltas.items()
+            if abs(delta) >= rules.max_delta_confidence
+        }
+        if flagged:
+            mean = sum(flagged.values()) / len(flagged)
+            found.append(
+                Violation(
+                    error_code=CODE_CONFIDENCE_DELTA,
+                    category=CATEGORY_CONFIDENCE_DELTA,
+                    image_ref=item.image_ref,
+                    reason=confidence_delta_reason(rules.max_delta_confidence, len(flagged), mean),
+                    data={
+                        "delta_confidence_threshold": rules.max_delta_confidence,
+                        "delta_confidences_detected": flagged,
+                    },
+                    position=position,
+                )
+            )
+
+        if missing:
+            found.append(
+                Violation(
+                    error_code=CODE_EXPECTED_LABELS,
+                    category=CATEGORY_EXPECTED_LABELS,
+                    image_ref=item.image_ref,
+                    reason=expected_labels_reason(missing),
+                    data={
+                        "expected_labels": sorted(
+                            rules.expected_labels_global | item.expected_labels
+                        ),
+                        "labels_detected": [a.label for a in self.new.annotations],
+                        "labels_missing": missing,
+                    },
+                    position=position,
+                )
+            )
+        return found
+
+
+def compare(old: LabelledResponse, new: LabelledResponse) -> Comparison:
+    """Walk one image pair once: added, dropped and matched labels."""
+    if old.image_ref != new.image_ref:
+        raise ContractError(
+            f"responses refer to different images: {old.image_ref!r} vs {new.image_ref!r}"
+        )
+    old_conf = old.confidences()
+    added = []
+    deltas = {}
+    for ann in new.annotations:
+        if ann.label in old_conf:
+            deltas[ann.label] = ann.confidence - old_conf[ann.label]
+        else:
+            added.append(ann.label)
+    dropped = [a.label for a in old.annotations if a.label not in deltas]
+    return Comparison(old, new, added, dropped, deltas)
+
+
 def evaluate_image(
     old: LabelledResponse,
     new: LabelledResponse,
     item: BenchmarkItem,
     rules: ThresholdRules,
 ) -> list[Violation]:
-    """Run the three benchmark checks on one image pair.
-
-    Violations come back in code order (label delta, confidence delta,
-    expected labels); an empty list means the image stayed within
-    tolerance. Comparators are >= threshold for both delta checks.
-    """
-    _require_same_image(old, new)
-    if old.image_ref != item.image_ref:
-        raise ContractError(
-            f"responses for {old.image_ref!r} evaluated against item {item.image_ref!r}"
-        )
-    violations = []
-
-    added = added_labels_in_order(old, new)
-    dropped = dropped_labels_in_order(old, new)
-    count = len(added) + len(dropped)
-    if count >= rules.max_delta_labels:
-        violations.append(
-            Violation(
-                error_code=CODE_LABEL_DELTA,
-                category=CATEGORY_LABEL_DELTA,
-                image_ref=item.image_ref,
-                reason=label_delta_reason(rules.max_delta_labels, len(added), len(dropped)),
-                data={
-                    "delta_labels_threshold": rules.max_delta_labels,
-                    "delta_labels_detected": count,
-                    "new_labels": added,
-                    "dropped_labels": dropped,
-                },
-            )
-        )
-
-    deltas = confidence_deltas(old, new)
-    flagged = {
-        label: delta
-        for label, delta in deltas.items()
-        if abs(delta) >= rules.max_delta_confidence
-    }
-    if flagged:
-        mean = sum(flagged.values()) / len(flagged)
-        violations.append(
-            Violation(
-                error_code=CODE_CONFIDENCE_DELTA,
-                category=CATEGORY_CONFIDENCE_DELTA,
-                image_ref=item.image_ref,
-                reason=confidence_delta_reason(rules.max_delta_confidence, len(flagged), mean),
-                data={
-                    "delta_confidence_threshold": rules.max_delta_confidence,
-                    "delta_confidences_detected": flagged,
-                },
-            )
-        )
-
-    expected = rules.expected_labels_global | item.expected_labels
-    missing = sorted(expected - new.labels())
-    if missing:
-        violations.append(
-            Violation(
-                error_code=CODE_EXPECTED_LABELS,
-                category=CATEGORY_EXPECTED_LABELS,
-                image_ref=item.image_ref,
-                reason=expected_labels_reason(missing),
-                data={
-                    "expected_labels": sorted(expected),
-                    "labels_detected": [a.label for a in new.annotations],
-                    "labels_missing": missing,
-                },
-            )
-        )
-
-    return violations
+    """Run the three benchmark checks on one image pair; an empty list
+    means the image stayed within tolerance."""
+    return compare(old, new).violations(item, rules)
 
 
 @dataclass(frozen=True)
@@ -220,6 +217,26 @@ class EvolutionDelta:
     top_label_new: str
     top_confidence_delta: float
     violations: tuple[str, ...]
+
+    @classmethod
+    def of(cls, comparison: Comparison, violations) -> "EvolutionDelta":
+        top_old = comparison.old.top()
+        top_new = comparison.new.top()
+        if top_old is None or top_new is None:
+            top_delta = 0.0
+        else:
+            top_delta = top_new.confidence - top_old.confidence
+        return cls(
+            image_ref=comparison.old.image_ref,
+            new_labels=frozenset(comparison.added),
+            dropped_labels=frozenset(comparison.dropped),
+            label_delta_count=comparison.label_delta,
+            confidence_deltas=comparison.deltas,
+            top_label_old=top_old.label if top_old else "",
+            top_label_new=top_new.label if top_new else "",
+            top_confidence_delta=top_delta,
+            violations=tuple(v.category for v in violations),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -248,6 +265,7 @@ class EvolutionReport:
     violating_images: int
     mean_label_delta_added: float
     mean_signed_confidence_delta: float
+    violations: tuple[Violation, ...]  # by code then dataset position; not serialized
 
     def totals_dict(self) -> dict:
         return {
@@ -272,28 +290,6 @@ class EvolutionReport:
         return result
 
 
-def _delta_for_item(old, new, item, rules) -> EvolutionDelta:
-    added, dropped, count = label_set_delta(old, new)
-    deltas = confidence_deltas(old, new)
-    top_old = old.top()
-    top_new = new.top()
-    if top_old is None or top_new is None:
-        top_delta = 0.0
-    else:
-        top_delta = top_new.confidence - top_old.confidence
-    return EvolutionDelta(
-        image_ref=item.image_ref,
-        new_labels=frozenset(added),
-        dropped_labels=frozenset(dropped),
-        label_delta_count=count,
-        confidence_deltas=deltas,
-        top_label_old=top_old.label if top_old else "",
-        top_label_new=top_new.label if top_new else "",
-        top_confidence_delta=top_delta,
-        violations=tuple(v.category for v in evaluate_image(old, new, item, rules)),
-    )
-
-
 def check_alignment(snapshot, dataset: BenchmarkDataset, name: str = "snapshot"):
     """Snapshots must line up with the dataset by position and image_ref."""
     if len(snapshot) != len(dataset.items):
@@ -305,6 +301,20 @@ def check_alignment(snapshot, dataset: BenchmarkDataset, name: str = "snapshot")
             raise ContractError(
                 f"{name}[{k}] is {response.image_ref!r}, expected {item.image_ref!r}"
             )
+
+
+def _checked_pairs(old_snapshot, new_snapshot, dataset: BenchmarkDataset, rules):
+    """Align both snapshots once, then compare and check each image pair
+    once: yields (comparison, violations) in dataset order."""
+    check_alignment(old_snapshot, dataset, "old snapshot")
+    check_alignment(new_snapshot, dataset, "new snapshot")
+    for k, (old, new, item) in enumerate(zip(old_snapshot, new_snapshot, dataset.items)):
+        comparison = compare(old, new)
+        yield comparison, comparison.violations(item, rules, k)
+
+
+def _by_code_then_position(violations) -> list[Violation]:
+    return sorted(violations, key=lambda v: (v.error_code, v.position))
 
 
 def evaluate_epochs(
@@ -319,13 +329,10 @@ def evaluate_epochs(
     threshold applied; sub-threshold movement is visible in the raw deltas
     and only threshold-exceeding movement marks an image as violating.
     """
-    check_alignment(old_snapshot, dataset, "old snapshot")
-    check_alignment(new_snapshot, dataset, "new snapshot")
-
-    deltas = tuple(
-        _delta_for_item(old, new, item, rules)
-        for old, new, item in zip(old_snapshot, new_snapshot, dataset.items)
-    )
+    deltas, violations = [], []
+    for comparison, found in _checked_pairs(old_snapshot, new_snapshot, dataset, rules):
+        deltas.append(EvolutionDelta.of(comparison, found))
+        violations.extend(found)
 
     labels_added = sum(len(d.new_labels) for d in deltas)
     labels_dropped = sum(len(d.dropped_labels) for d in deltas)
@@ -342,13 +349,14 @@ def evaluate_epochs(
     return EvolutionReport(
         old_epoch=max((r.captured_at for r in old_snapshot), default=_EPOCH_ZERO),
         new_epoch=max((r.captured_at for r in new_snapshot), default=_EPOCH_ZERO),
-        deltas=deltas,
+        deltas=tuple(deltas),
         labels_added=labels_added,
         labels_dropped=labels_dropped,
         confidence_changes=confidence_changes,
         violating_images=violating,
         mean_label_delta_added=mean_added,
         mean_signed_confidence_delta=mean_signed,
+        violations=tuple(_by_code_then_position(violations)),
     )
 
 
@@ -360,11 +368,5 @@ def collect_violations(
 ) -> list[Violation]:
     """All benchmark violations across a snapshot pair, sorted by code then
     dataset position (the order validation reports them in)."""
-    check_alignment(old_snapshot, dataset, "old snapshot")
-    check_alignment(new_snapshot, dataset, "new snapshot")
-    indexed = []
-    for k, (old, new, item) in enumerate(zip(old_snapshot, new_snapshot, dataset.items)):
-        for violation in evaluate_image(old, new, item, rules):
-            indexed.append((violation.error_code, k, violation))
-    indexed.sort(key=lambda entry: (entry[0], entry[1]))
-    return [violation for _, _, violation in indexed]
+    checked = _checked_pairs(old_snapshot, new_snapshot, dataset, rules)
+    return _by_code_then_position(v for _, found in checked for v in found)

@@ -42,6 +42,7 @@ from .types import (
     canonical_json,
     http_date,
     iso_ts,
+    pretty_json,
     utc_now_second,
 )
 from .upstream import UpstreamClient
@@ -123,10 +124,7 @@ class GuardEngine:
 
     def _save_dataset(self, dataset: BenchmarkDataset):
         path = self.storage / DATASET_FILE
-        path.write_text(
-            json.dumps(dataset.to_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        path.write_text(pretty_json(dataset.to_dict()) + "\n", encoding="utf-8")
 
     def _append_line(self, filename: str, record: dict):
         with self._log_lock:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .diffing import collect_violations
+from .diffing import check_alignment, collect_violations
 from .types import (
     ERROR_TYPES,
     BenchmarkDataset,
@@ -28,6 +28,7 @@ from .types import (
     canonical_json,
     iso_ts,
     parse_iso_ts,
+    pretty_json,
     sha256_hex,
 )
 
@@ -158,15 +159,7 @@ def mint_token(
     now: datetime,
 ) -> BehaviourToken:
     snapshot = tuple(snapshot)
-    if len(snapshot) != len(dataset.items):
-        raise ContractError(
-            f"snapshot has {len(snapshot)} responses for {len(dataset.items)} items"
-        )
-    for k, (response, item) in enumerate(zip(snapshot, dataset.items)):
-        if response.image_ref != item.image_ref:
-            raise ContractError(
-                f"snapshot[{k}] is {response.image_ref!r}, expected {item.image_ref!r}"
-            )
+    check_alignment(snapshot, dataset)
     created_at = now.replace(microsecond=0)
     return BehaviourToken(
         token_id=compute_token_id(
@@ -344,11 +337,10 @@ def validate(
         return None
 
     primary, rest = violations[0], violations[1:]
-    position = {item.image_ref: k for k, item in enumerate(dataset.items)}[primary.image_ref]
     error_data = {
         **_keys(requested, current),
-        "source_response": requested.snapshot[position].to_dict(),
-        "violating_response": current.snapshot[position].to_dict(),
+        "source_response": requested.snapshot[primary.position].to_dict(),
+        "violating_response": current.snapshot[primary.position].to_dict(),
         **primary.payload(),
     }
     if rest:
@@ -397,9 +389,7 @@ class TokenStore:
         return self._dir / f"{unix}-{token.token_id}.token"
 
     def store(self, token: BehaviourToken) -> Path:
-        payload = (
-            json.dumps(token.to_dict(), sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-        )
+        payload = pretty_json(token.to_dict()) + "\n"
         with self._lock:
             path = self.path_for(token)
             path.write_text(payload, encoding="utf-8")

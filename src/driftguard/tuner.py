@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diffing import evaluate_image
+from .diffing import compare
 from .types import BenchmarkDataset, ContractError, ThresholdRules
 
 
@@ -78,25 +78,23 @@ def tune_thresholds(
     labels = _check_grid(label_grid, "label", int)
     confidences = _check_grid(confidence_grid, "confidence", float)
     rules = base_rules if base_rules is not None else ThresholdRules()
+    # Both grids increase strictly, so rules built from their two ends
+    # reject any out-of-range threshold in between.
+    for end in (0, -1):
+        replace(rules, max_delta_labels=labels[end], max_delta_confidence=confidences[end])
 
-    counts = []
-    for max_delta_labels in labels:
-        row = []
-        for max_delta_confidence in confidences:
-            cell_rules = replace(
-                rules,
-                max_delta_labels=max_delta_labels,
-                max_delta_confidence=max_delta_confidence,
-            )
-            violating = 0
-            for old, new, item in zip(old_snapshot, new_snapshot, dataset.items):
-                if evaluate_image(old, new, item, cell_rules):
-                    violating += 1
-            row.append(violating)
-        counts.append(tuple(row))
-
-    return TunerMatrix(
-        label_grid=labels,
-        confidence_grid=confidences,
-        counts=tuple(counts),
+    # One comparison per image pair; each cell (a, b) is then a count over
+    # (label delta, max |confidence delta|, expected label missing).
+    images = []
+    for old, new, item in zip(old_snapshot, new_snapshot, dataset.items):
+        comparison = compare(old, new)
+        shift = max(map(abs, comparison.deltas.values()), default=0.0)
+        images.append((comparison.label_delta, shift, comparison.missing_expected(item, rules)))
+    counts = tuple(
+        tuple(
+            sum(1 for delta, shift, missing in images if missing or delta >= a or shift >= b)
+            for b in confidences
+        )
+        for a in labels
     )
+    return TunerMatrix(label_grid=labels, confidence_grid=confidences, counts=counts)

@@ -64,6 +64,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def pretty_json(obj) -> str:
+    """Readable JSON: sorted keys, UTF-8 passthrough, two-space indent."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
+
+
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -1,6 +1,13 @@
 import logging
+import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
+
+# pytest puts src/ on sys.path (pyproject pythonpath); the CLI processes
+# the tests spawn import the package from the same checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "suite",

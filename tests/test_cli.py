@@ -222,6 +222,18 @@ class TestTune:
         )
         assert code == 2
 
+    def test_out_of_range_grid_is_exit_2(self, reference_dirs, capsys):
+        code = main(
+            [
+                "tune",
+                "--old", str(reference_dirs / "old"),
+                "--new", str(reference_dirs / "new"),
+                "--labels", "0,1",
+                "--confs", "0.01",
+            ]
+        )
+        assert code == 2
+
 
 class TestInit:
     def test_embedded_bootstrap_prints_token_and_etag(self, reference_dirs, tmp_path, capsys):

@@ -3,10 +3,9 @@ from hypothesis import given
 
 from driftguard.diffing import (
     collect_violations,
-    confidence_deltas,
+    compare,
     evaluate_epochs,
     evaluate_image,
-    label_set_delta,
     trim_number,
 )
 from driftguard.types import (
@@ -27,58 +26,63 @@ SENTINEL_RULES = ThresholdRules(
 class TestLabelSetDelta:
     def test_car_fixture_counts_eight(self):
         old, new = refs.car_pair()
-        added, dropped, count = label_set_delta(old, new)
-        assert added == set(refs.CAR_NEW_LABELS)
-        assert dropped == set(refs.CAR_DROPPED_LABELS)
-        assert count == 8
+        comparison = compare(old, new)
+        assert comparison.added == refs.CAR_NEW_LABELS
+        assert comparison.dropped == refs.CAR_DROPPED_LABELS
+        assert set(comparison.added) == set(refs.CAR_NEW_LABELS)
+        assert set(comparison.dropped) == set(refs.CAR_DROPPED_LABELS)
+        assert comparison.label_delta == 8
 
     def test_identity(self):
         old, _ = refs.car_pair()
-        assert label_set_delta(old, old) == (set(), set(), 0)
+        comparison = compare(old, old)
+        assert (comparison.added, comparison.dropped, comparison.label_delta) == ([], [], 0)
 
     def test_two_element_difference(self):
         old = response_from_map("u", {"a": 0.9, "b": 0.5})
         new = response_from_map("u", {"b": 0.5, "c": 0.4})
-        added, dropped, count = label_set_delta(old, new)
-        assert (added, dropped, count) == ({"c"}, {"a"}, 2)
+        comparison = compare(old, new)
+        assert (comparison.added, comparison.dropped, comparison.label_delta) == (["c"], ["a"], 2)
 
     def test_image_ref_mismatch_is_contract_error(self):
         old = response_from_map("u1", {"a": 0.9})
         new = response_from_map("u2", {"a": 0.9})
         with pytest.raises(ContractError):
-            label_set_delta(old, new)
+            compare(old, new)
 
     @given(response_pairs())
     def test_symmetric_difference_properties(self, pair):
         old, new = pair
-        added, dropped, count = label_set_delta(old, new)
-        back_added, back_dropped, back_count = label_set_delta(new, old)
-        assert count == len(added) + len(dropped)
-        assert count == back_count
-        assert added == back_dropped and dropped == back_added
+        forward, backward = compare(old, new), compare(new, old)
+        added, dropped = set(forward.added), set(forward.dropped)
+        assert added == new.labels() - old.labels()
+        assert dropped == old.labels() - new.labels()
+        assert forward.label_delta == len(added) + len(dropped)
+        assert forward.label_delta == backward.label_delta
+        assert added == set(backward.dropped) and dropped == set(backward.added)
         assert not added & dropped
 
 
 class TestConfidenceDeltas:
     def test_sheep_delta_matches_frozen_value(self):
         old, new = refs.sheep_pair()
-        deltas = confidence_deltas(old, new)
+        deltas = compare(old, new).deltas
         assert deltas["sheep"] == pytest.approx(0.01936030388219212, abs=1e-15)
 
     def test_identical_responses_are_all_zero(self):
         old, _ = refs.sheep_pair()
-        assert set(confidence_deltas(old, old).values()) == {0.0}
+        assert set(compare(old, old).deltas.values()) == {0.0}
 
     def test_one_sided_labels_are_excluded(self):
         old = response_from_map("u", {"a": 0.9})
         new = response_from_map("u", {"a": 0.9, "b": 0.5})
-        assert "b" not in confidence_deltas(old, new)
+        assert "b" not in compare(old, new).deltas
 
     @given(response_pairs())
     def test_antisymmetry(self, pair):
         old, new = pair
-        forward = confidence_deltas(old, new)
-        backward = confidence_deltas(new, old)
+        forward = compare(old, new).deltas
+        backward = compare(new, old).deltas
         assert set(forward) == set(backward)
         for label, delta in forward.items():
             assert backward[label] == -delta
@@ -147,11 +151,11 @@ class TestEvaluateImage:
         old, new = pair
         item = BenchmarkItem(old.image_ref, "")
         codes = {v.error_code for v in evaluate_image(old, new, item, rules)}
-        _, _, count = label_set_delta(old, new)
-        assert (7 in codes) == (count >= rules.max_delta_labels)
+        comparison = compare(old, new)
+        assert (7 in codes) == (comparison.label_delta >= rules.max_delta_labels)
         has_confidence_hit = any(
             abs(d) >= rules.max_delta_confidence
-            for d in confidence_deltas(old, new).values()
+            for d in comparison.deltas.values()
         )
         assert (8 in codes) == has_confidence_hit
 
@@ -234,3 +238,14 @@ class TestCollectViolations:
         violations = collect_violations(old_snapshot, new_snapshot, dataset, refs.FIXTURE_RULES)
         assert [v.error_code for v in violations] == [7, 8, 9]
         assert [v.image_ref for v in violations] == [refs.CAR_URI, refs.SHEEP_URI, refs.IGUANA_URI]
+
+    @given(aligned_corpora(), rules_strategy())
+    def test_report_carries_the_same_violations(self, corpus, rules):
+        dataset, old_snapshot, new_snapshot = corpus
+        report = evaluate_epochs(old_snapshot, new_snapshot, dataset, rules)
+        violations = collect_violations(old_snapshot, new_snapshot, dataset, rules)
+        assert list(report.violations) == violations
+        for k, delta in enumerate(report.deltas):
+            own = [v for v in violations if v.position == k]
+            assert all(v.image_ref == delta.image_ref for v in own)
+            assert list(delta.violations) == [v.category for v in own]

@@ -1,12 +1,13 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from driftguard.diffing import evaluate_image
 from driftguard.tuner import tune_thresholds
 from driftguard.types import BenchmarkDataset, ContractError, ThresholdRules
 
+import naive_oracle
 import reference_fixtures as refs
-from gen_strategies import aligned_corpora
+from gen_strategies import aligned_corpora, labels
 
 
 @pytest.fixture()
@@ -31,6 +32,15 @@ class TestGridValidation:
         with pytest.raises(ContractError):
             tune_thresholds(old, new, dataset, [1], [0.1, 0.1])
 
+    @pytest.mark.parametrize(
+        "label_grid,confidence_grid",
+        [([0, 1], [0.01]), ([1], [0.0, 0.5]), ([1], [0.5, 1.5])],
+    )
+    def test_out_of_range_grid_rejected(self, fixture_corpus, label_grid, confidence_grid):
+        dataset, old, new = fixture_corpus
+        with pytest.raises(ContractError):
+            tune_thresholds(old, new, dataset, label_grid, confidence_grid)
+
 
 class TestCounts:
     def test_minimum_thresholds_catch_every_changed_image(self, fixture_corpus):
@@ -44,17 +54,24 @@ class TestCounts:
         # only the iguana item still misses its expected label
         assert matrix.cell(10**6, 1.0) == 1
 
-    def test_cells_match_per_cell_evaluation(self, fixture_corpus):
-        dataset, old, new = fixture_corpus
-        label_grid, confidence_grid = [1, 3, 5], [0.01, 0.1]
-        matrix = tune_thresholds(old, new, dataset, label_grid, confidence_grid)
+    @given(aligned_corpora(), st.frozensets(labels, max_size=2))
+    def test_cells_match_per_cell_evaluation(self, corpus, global_expected):
+        dataset, old, new = corpus
+        label_grid, confidence_grid = [1, 2, 3, 5], [0.01, 0.05, 0.1, 0.5]
+        rules = ThresholdRules(expected_labels_global=global_expected)
+        matrix = tune_thresholds(old, new, dataset, label_grid, confidence_grid, rules)
         for a in label_grid:
             for b in confidence_grid:
-                rules = ThresholdRules(max_delta_labels=a, max_delta_confidence=b)
                 expected = sum(
                     1
                     for o, n, item in zip(old, new, dataset.items)
-                    if evaluate_image(o, n, item, rules)
+                    if naive_oracle.image_violates(
+                        o.confidences(),
+                        n.confidences(),
+                        a,
+                        b,
+                        global_expected | item.expected_labels,
+                    )
                 )
                 assert matrix.cell(a, b) == expected
 
