@@ -303,14 +303,13 @@ def check_alignment(snapshot, dataset: BenchmarkDataset, name: str = "snapshot")
             )
 
 
-def _checked_pairs(old_snapshot, new_snapshot, dataset: BenchmarkDataset, rules):
-    """Align both snapshots once, then compare and check each image pair
-    once: yields (comparison, violations) in dataset order."""
+def aligned_comparisons(old_snapshot, new_snapshot, dataset: BenchmarkDataset):
+    """Align both snapshots once, then compare each image pair once:
+    yields (position, comparison, item) in dataset order."""
     check_alignment(old_snapshot, dataset, "old snapshot")
     check_alignment(new_snapshot, dataset, "new snapshot")
     for k, (old, new, item) in enumerate(zip(old_snapshot, new_snapshot, dataset.items)):
-        comparison = compare(old, new)
-        yield comparison, comparison.violations(item, rules, k)
+        yield k, compare(old, new), item
 
 
 def _by_code_then_position(violations) -> list[Violation]:
@@ -330,7 +329,8 @@ def evaluate_epochs(
     and only threshold-exceeding movement marks an image as violating.
     """
     deltas, violations = [], []
-    for comparison, found in _checked_pairs(old_snapshot, new_snapshot, dataset, rules):
+    for k, comparison, item in aligned_comparisons(old_snapshot, new_snapshot, dataset):
+        found = comparison.violations(item, rules, k)
         deltas.append(EvolutionDelta.of(comparison, found))
         violations.extend(found)
 
@@ -368,5 +368,5 @@ def collect_violations(
 ) -> list[Violation]:
     """All benchmark violations across a snapshot pair, sorted by code then
     dataset position (the order validation reports them in)."""
-    checked = _checked_pairs(old_snapshot, new_snapshot, dataset, rules)
-    return _by_code_then_position(v for _, found in checked for v in found)
+    pairs = aligned_comparisons(old_snapshot, new_snapshot, dataset)
+    return _by_code_then_position(v for k, c, item in pairs for v in c.violations(item, rules, k))

@@ -92,9 +92,6 @@ class GuardEngine:
         self._counter_lock = threading.Lock()
         self._violations_since_run = 0
         self._run_lock = threading.Lock()
-        self._inflight_lock = threading.Lock()
-        self._in_flight = 0
-        self.max_in_flight_seen = 0
         # Set by the scheduler; called when the 412 counter reaches z.
         self.on_violation_threshold = None
 
@@ -103,6 +100,18 @@ class GuardEngine:
     @property
     def initialized(self) -> bool:
         return self.dataset is not None and self.store.current is not None
+
+    def _baseline(self):
+        """(current token, dataset), each read once, or None when the proxy
+        has no usable baseline. A fingerprint mismatch means a
+        re-initialisation is mid-flight; until both halves agree there is
+        nothing to serve or detect against."""
+        current, dataset = self.store.current, self.dataset
+        if current is None or dataset is None:
+            return None
+        if current.dataset_fingerprint != dataset.fingerprint:
+            return None
+        return current, dataset
 
     def token_metadata(self) -> dict | None:
         current = self.store.current
@@ -234,16 +243,10 @@ class GuardEngine:
         token_ref is ("etag", token_id) or ("date", datetime). Returns
         (status, headers, body) for the HTTP layer.
         """
-        current = self.store.current
-        dataset = self.dataset
-        # A fingerprint mismatch means a re-initialisation is mid-flight;
-        # until both halves agree the proxy has no usable baseline.
-        if (
-            current is None
-            or dataset is None
-            or current.dataset_fingerprint != dataset.fingerprint
-        ):
+        baseline = self._baseline()
+        if baseline is None:
             return self._precondition_failed(no_key_error(), url)
+        current, dataset = baseline
         requested, resolution_error = self._resolve_token(token_ref, current)
         if resolution_error is not None:
             return self._precondition_failed(resolution_error, url)
@@ -274,14 +277,17 @@ class GuardEngine:
         """Execute one evolution-detection run. Serialized: concurrent calls
         queue up on the run lock, so at most one run is ever in flight."""
         with self._run_lock:
-            with self._inflight_lock:
-                self._in_flight += 1
-                self.max_in_flight_seen = max(self.max_in_flight_seen, self._in_flight)
             try:
-                run = self._detect(trigger)
+                started = self._now()
+                outcome, details = self._detect()
+                run = DetectionRun(
+                    started_at=started,
+                    finished_at=self._now(),
+                    trigger=trigger,
+                    outcome=outcome,
+                    **details,
+                )
             finally:
-                with self._inflight_lock:
-                    self._in_flight -= 1
                 with self._counter_lock:
                     self._violations_since_run = 0
         self._append_line(DETECTIONS_FILE, run.to_dict())
@@ -289,57 +295,31 @@ class GuardEngine:
             self._post_callback({"kind": "detection", "run": run.to_dict()})
         return run
 
-    def _detect(self, trigger: str) -> DetectionRun:
-        started = self._now()
-        current = self.store.current
-        dataset = self.dataset
-        if (
-            current is None
-            or dataset is None
-            or current.dataset_fingerprint != dataset.fingerprint
-        ):
-            return DetectionRun(
-                started_at=started,
-                finished_at=self._now(),
-                trigger=trigger,
-                outcome=OUTCOME_ABORTED,
-                reason=NOT_INITIALIZED,
-            )
+    def _detect(self):
+        """Decide one run: returns its outcome and the DetectionRun fields
+        beyond the trigger and the timestamps."""
+        baseline = self._baseline()
+        if baseline is None:
+            return OUTCOME_ABORTED, {"reason": NOT_INITIALIZED}
+        current, dataset = baseline
         snapshot = self.client.snapshot_benchmark(dataset, current.rules)
         failures = sum(1 for r in snapshot if not r.success)
         if failures:
             # An incomplete probe proves nothing about drift; diffing against
             # empty failure entries would fabricate label deltas.
             log.warning("detection aborted: %d/%d benchmark items failed", failures, len(snapshot))
-            return DetectionRun(
-                started_at=started,
-                finished_at=self._now(),
-                trigger=trigger,
-                outcome=OUTCOME_ABORTED,
-                reason=f"snapshot_incomplete ({failures}/{len(snapshot)} items failed)",
-            )
+            reason = f"snapshot_incomplete ({failures}/{len(snapshot)} items failed)"
+            return OUTCOME_ABORTED, {"reason": reason}
         report = evaluate_epochs(current.snapshot, snapshot, dataset, current.rules)
         if report.violating_images < 1:
-            return DetectionRun(
-                started_at=started,
-                finished_at=self._now(),
-                trigger=trigger,
-                outcome=OUTCOME_NO_CHANGE,
-                report=report,
-            )
+            return OUTCOME_NO_CHANGE, {"report": report}
         if snapshot_content(snapshot) == snapshot_content(current.snapshot):
             # Identical results can only flag a persistent expected-label
             # absence the operator already learned about when this token was
             # installed; rotating onto a content-identical token would
             # invalidate healthy clients for nothing.
-            return DetectionRun(
-                started_at=started,
-                finished_at=self._now(),
-                trigger=trigger,
-                outcome=OUTCOME_NO_CHANGE,
-                report=report,
-                reason="state_unchanged (persistent expected-labels violation)",
-            )
+            reason = "state_unchanged (persistent expected-labels violation)"
+            return OUTCOME_NO_CHANGE, {"report": report, "reason": reason}
         new_token = mint_token(
             self.config.service_id, dataset, current.rules, snapshot, self._now()
         )
@@ -350,12 +330,8 @@ class GuardEngine:
             current.token_id,
             new_token.token_id,
         )
-        return DetectionRun(
-            started_at=started,
-            finished_at=self._now(),
-            trigger=trigger,
-            outcome=OUTCOME_ROTATED,
-            report=report,
-            old_token_id=current.token_id,
-            new_token_id=new_token.token_id,
-        )
+        return OUTCOME_ROTATED, {
+            "report": report,
+            "old_token_id": current.token_id,
+            "new_token_id": new_token.token_id,
+        }

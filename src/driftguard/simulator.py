@@ -69,15 +69,6 @@ class DriftScript:
         if not self.epochs:
             raise ContractError("drift script needs at least one epoch")
 
-    @property
-    def image_refs(self) -> list[str]:
-        refs = []
-        for epoch in self.epochs:
-            for ref in epoch:
-                if ref not in refs:
-                    refs.append(ref)
-        return refs
-
 
 def parse_script(text: str, seed: int = 0) -> DriftScript:
     epochs: list[dict] = []
@@ -197,7 +188,7 @@ def _mid_for(seed: int, label: str) -> str:
     return "/sim/" + sha256_hex(f"{seed}:{label}")[:10]
 
 
-def _annotations(labels: dict, seed: int, max_results: int | None = None):
+def _annotations(labels: dict, max_results: int | None = None):
     ordered = sorted(labels.items(), key=lambda kv: (-kv[1], kv[0]))
     if max_results is not None:
         ordered = ordered[:max_results]
@@ -215,7 +206,7 @@ def wire_body(labels: dict, seed: int, max_results: int | None = None) -> dict:
                         "score": confidence,
                         "topicality": confidence,
                     }
-                    for label, confidence in _annotations(labels, seed, max_results)
+                    for label, confidence in _annotations(labels, max_results)
                 ]
             }
         ]
@@ -237,7 +228,7 @@ def corpus_for_epoch(script: DriftScript, epoch_index: int) -> list[LabelledResp
                 ontology_id=_mid_for(script.seed, label),
                 topicality=confidence,
             )
-            for label, confidence in _annotations(state[image_ref], script.seed)
+            for label, confidence in _annotations(state[image_ref])
         )
         responses.append(
             LabelledResponse(

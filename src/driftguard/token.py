@@ -90,25 +90,22 @@ class BehaviourToken:
         if self.success != all(r.success for r in self.snapshot):
             raise ContractError("token success flag inconsistent with its snapshot")
 
-    def metadata(self) -> dict:
-        """Client-safe summary: never includes the snapshot itself."""
+    def _header(self) -> dict:
         return {
             "token_id": self.token_id,
             "service_id": self.service_id,
             "dataset_fingerprint": self.dataset_fingerprint,
             "created_at": iso_ts(self.created_at),
             "rules": self.rules.to_dict(),
-            "success": self.success,
-            "snapshot_size": len(self.snapshot),
         }
+
+    def metadata(self) -> dict:
+        """Client-safe summary: never includes the snapshot itself."""
+        return {**self._header(), "success": self.success, "snapshot_size": len(self.snapshot)}
 
     def to_dict(self) -> dict:
         return {
-            "token_id": self.token_id,
-            "service_id": self.service_id,
-            "dataset_fingerprint": self.dataset_fingerprint,
-            "created_at": iso_ts(self.created_at),
-            "rules": self.rules.to_dict(),
+            **self._header(),
             "snapshot": [r.to_dict() for r in self.snapshot],
             "success": self.success,
         }
@@ -223,81 +220,60 @@ def _keys(requested: BehaviourToken, current: BehaviourToken) -> dict:
     return {"source_key": requested.metadata(), "violating_key": current.metadata()}
 
 
+# One row per robustness code, checked in code order: the code, the reason,
+# and the token fields both sides must agree on. The payload reports each
+# field of the failing row as `<name>_expected` (current token) and
+# `<name>_provided` (requested token).
+_ROBUSTNESS_CHECKS = (
+    (1, "Token was issued for a different service.", ("service",)),
+    (
+        2,
+        "Token encodes a different benchmark dataset.",
+        ("dataset_fingerprint", "expected_labels_rule"),
+    ),
+    (3, "Token was minted from an unsuccessful benchmark snapshot.", ("success",)),
+    (
+        4,
+        "Confidence rules differ between the tokens.",
+        ("min_confidence", "max_delta_confidence"),
+    ),
+    (5, "Label rules differ between the tokens.", ("max_labels", "max_delta_labels")),
+    (6, "Tokens hold different numbers of benchmark responses.", ("response_length",)),
+)
+# Fields judged on the requested token alone, against a fixed value rather
+# than the current token's: code 3 wants a fully successful snapshot, so it
+# reports only `success_provided`.
+_JUDGED_ALONE = {"success": True}
+
+
+def _robustness_fields(token: BehaviourToken) -> dict:
+    rules = token.rules
+    return {
+        "service": token.service_id,
+        "dataset_fingerprint": token.dataset_fingerprint,
+        "expected_labels_rule": sorted(rules.expected_labels_global),
+        "success": token.success,
+        "min_confidence": rules.min_confidence,
+        "max_delta_confidence": rules.max_delta_confidence,
+        "max_labels": rules.max_labels,
+        "max_delta_labels": rules.max_delta_labels,
+        "response_length": len(token.snapshot),
+    }
+
+
 def _robustness_error(requested, current) -> ValidationError | None:
-    if requested.service_id != current.service_id:
-        return ValidationError.make(
-            1,
-            {
-                **_keys(requested, current),
-                "service_expected": current.service_id,
-                "service_provided": requested.service_id,
-                "reason": "Token was issued for a different service.",
-            },
-        )
-    if (
-        requested.dataset_fingerprint != current.dataset_fingerprint
-        or requested.rules.expected_labels_global != current.rules.expected_labels_global
-    ):
-        return ValidationError.make(
-            2,
-            {
-                **_keys(requested, current),
-                "dataset_fingerprint_expected": current.dataset_fingerprint,
-                "dataset_fingerprint_provided": requested.dataset_fingerprint,
-                "expected_labels_rule_expected": sorted(current.rules.expected_labels_global),
-                "expected_labels_rule_provided": sorted(requested.rules.expected_labels_global),
-                "reason": "Token encodes a different benchmark dataset.",
-            },
-        )
-    if not requested.success:
-        return ValidationError.make(
-            3,
-            {
-                **_keys(requested, current),
-                "success_provided": requested.success,
-                "reason": "Token was minted from an unsuccessful benchmark snapshot.",
-            },
-        )
-    if (
-        requested.rules.min_confidence != current.rules.min_confidence
-        or requested.rules.max_delta_confidence != current.rules.max_delta_confidence
-    ):
-        return ValidationError.make(
-            4,
-            {
-                **_keys(requested, current),
-                "min_confidence_expected": current.rules.min_confidence,
-                "min_confidence_provided": requested.rules.min_confidence,
-                "max_delta_confidence_expected": current.rules.max_delta_confidence,
-                "max_delta_confidence_provided": requested.rules.max_delta_confidence,
-                "reason": "Confidence rules differ between the tokens.",
-            },
-        )
-    if (
-        requested.rules.max_labels != current.rules.max_labels
-        or requested.rules.max_delta_labels != current.rules.max_delta_labels
-    ):
-        return ValidationError.make(
-            5,
-            {
-                **_keys(requested, current),
-                "max_labels_expected": current.rules.max_labels,
-                "max_labels_provided": requested.rules.max_labels,
-                "max_delta_labels_expected": current.rules.max_delta_labels,
-                "max_delta_labels_provided": requested.rules.max_delta_labels,
-                "reason": "Label rules differ between the tokens.",
-            },
-        )
-    if len(requested.snapshot) != len(current.snapshot):
-        return ValidationError.make(
-            6,
-            {
-                **_keys(requested, current),
-                "response_length_expected": len(current.snapshot),
-                "response_length_provided": len(requested.snapshot),
-                "reason": "Tokens hold different numbers of benchmark responses.",
-            },
-        )
+    provided = _robustness_fields(requested)
+    expected = {**_robustness_fields(current), **_JUDGED_ALONE}
+    for code, reason, names in _ROBUSTNESS_CHECKS:
+        if all(provided[name] == expected[name] for name in names):
+            continue
+        error_data = _keys(requested, current)
+        for name in names:
+            if name not in _JUDGED_ALONE:
+                error_data[f"{name}_expected"] = expected[name]
+            error_data[f"{name}_provided"] = provided[name]
+        error_data["reason"] = reason
+        return ValidationError.make(code, error_data)
     return None
 
 

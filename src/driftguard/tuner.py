@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diffing import compare
+from .diffing import aligned_comparisons
 from .types import BenchmarkDataset, ContractError, ThresholdRules
 
 
@@ -86,8 +86,7 @@ def tune_thresholds(
     # One comparison per image pair; each cell (a, b) is then a count over
     # (label delta, max |confidence delta|, expected label missing).
     images = []
-    for old, new, item in zip(old_snapshot, new_snapshot, dataset.items):
-        comparison = compare(old, new)
+    for _, comparison, item in aligned_comparisons(old_snapshot, new_snapshot, dataset):
         shift = max(map(abs, comparison.deltas.values()), default=0.0)
         images.append((comparison.label_delta, shift, comparison.missing_expected(item, rules)))
     counts = tuple(

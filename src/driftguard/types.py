@@ -52,7 +52,6 @@ CATEGORY_FOR_CODE = {
     CODE_CONFIDENCE_DELTA: CATEGORY_CONFIDENCE_DELTA,
     CODE_EXPECTED_LABELS: CATEGORY_EXPECTED_LABELS,
 }
-CODE_FOR_CATEGORY = {v: k for k, v in CATEGORY_FOR_CODE.items()}
 
 
 class ContractError(ValueError):

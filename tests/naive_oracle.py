@@ -88,3 +88,29 @@ def count_cell(
         if image_violates(old, new, max_delta_labels, max_delta_confidence, expected):
             count += 1
     return count
+
+
+def robustness_code(requested, current):
+    """The robustness code (1-6) a requested token earns against the
+    current one, or None: each check written out as a plain comparison, in
+    code order, so the first failing check wins."""
+    mine, theirs = requested.rules, current.rules
+    if requested.service_id != current.service_id:
+        return 1
+    if requested.dataset_fingerprint != current.dataset_fingerprint:
+        return 2
+    if set(mine.expected_labels_global) != set(theirs.expected_labels_global):
+        return 2
+    if not all(response.success for response in requested.snapshot):
+        return 3
+    if mine.min_confidence != theirs.min_confidence:
+        return 4
+    if mine.max_delta_confidence != theirs.max_delta_confidence:
+        return 4
+    if mine.max_labels != theirs.max_labels:
+        return 5
+    if mine.max_delta_labels != theirs.max_delta_labels:
+        return 5
+    if len(requested.snapshot) != len(current.snapshot):
+        return 6
+    return None

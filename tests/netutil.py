@@ -78,3 +78,27 @@ class ScriptedUpstream:
 
     def __exit__(self, *exc_info):
         self._http.stop()
+
+
+class InFlightGauge:
+    """Wraps a client's snapshot_benchmark and records the most calls ever
+    in flight at once: detection-run overlap measured from outside the
+    engine, since every run that gets past the baseline check probes once."""
+
+    def __init__(self, client):
+        self.max_seen = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        probe = client.snapshot_benchmark
+
+        def counted(dataset, rules):
+            with self._lock:
+                self._in_flight += 1
+                self.max_seen = max(self.max_seen, self._in_flight)
+            try:
+                return probe(dataset, rules)
+            finally:
+                with self._lock:
+                    self._in_flight -= 1
+
+        client.snapshot_benchmark = counted

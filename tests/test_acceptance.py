@@ -41,6 +41,7 @@ import reference_fixtures as refs
 import naive_oracle
 from gen_strategies import response_from_map
 from test_ontology import REFERENCE_TRANSITIONS, TOY, TOY_EDGES
+from netutil import InFlightGauge
 from test_proxy import DRIFT_SCRIPT, MANIFEST_ITEMS
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -321,6 +322,7 @@ def test_criterion_08_scheduler_triggers(tmp_path):
             for e in MANIFEST_ITEMS
         ]
         engine.initialize_benchmark(items, config.rules)
+        gauge = InFlightGauge(engine.client)
 
         runs = []
         original = engine.run_detection
@@ -331,7 +333,7 @@ def test_criterion_08_scheduler_triggers(tmp_path):
         time.sleep(1.0)
         scheduler.stop()
         assert len(runs) >= 3
-        assert engine.max_in_flight_seen == 1
+        assert gauge.max_seen == 1
 
         # violation trigger: third 412 fires a run without waiting
         runs.clear()
@@ -349,7 +351,7 @@ def test_criterion_08_scheduler_triggers(tmp_path):
         finally:
             scheduler.stop()
         assert runs and runs[0] == "violation_threshold"
-        assert engine.max_in_flight_seen == 1
+        assert gauge.max_seen == 1
 
 
 def test_criterion_09_determinism(tmp_path, capsys):

@@ -24,7 +24,7 @@ from driftguard.token import validate
 from driftguard.types import ContractError, ThresholdRules
 from driftguard.upstream import UpstreamClient
 
-from netutil import CallbackReceiver
+from netutil import CallbackReceiver, InFlightGauge
 from test_proxy import DRIFT_SCRIPT, MANIFEST_ITEMS
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -239,6 +239,7 @@ class TestSchedulerLoop:
     def test_runs_never_overlap(self, sim, tmp_path):
         _, engine = make_engine(sim, tmp_path, z=1)
         init_engine(engine)
+        gauge = InFlightGauge(engine.client)
         scheduler = Scheduler(engine, interval_secs=0.05)
         scheduler.start()
         threads = [
@@ -255,7 +256,7 @@ class TestSchedulerLoop:
             time.sleep(0.4)
         finally:
             scheduler.stop()
-        assert engine.max_in_flight_seen == 1
+        assert gauge.max_seen == 1
 
     def test_detection_never_blocks_annotate(self, sim, tmp_path):
         # requests served against the pre-run token while a run is active

@@ -29,6 +29,7 @@ from driftguard.types import (
     ThresholdRules,
 )
 
+import naive_oracle
 import reference_fixtures as refs
 from gen_strategies import T0, T1, response_from_map
 
@@ -42,6 +43,28 @@ def make_token(snapshot=None, rules=refs.FIXTURE_RULES, dataset=None, now=T0, se
     if snapshot is None:
         snapshot, _ = refs.fixture_snapshots()
     return mint_token(service, dataset, rules, snapshot, now)
+
+
+# One changed value per token field the robustness checks compare.
+RULE_PERTURBATIONS = {
+    "min_confidence": 0.2,
+    "max_delta_confidence": 0.5,
+    "max_labels": 3,
+    "max_delta_labels": 2,
+    "expected_labels_global": frozenset({"organism"}),
+}
+
+
+def assert_robustness_error(requested, current, code, **fields):
+    """validate() fails with `code`, and error_data holds both token
+    summaries, then exactly `fields` in this order, then the reason."""
+    error = validate(requested, current, make_dataset())
+    assert error.error_code == code
+    data = error.error_data
+    assert list(data) == ["source_key", "violating_key", *fields, "reason"]
+    assert data["source_key"] == requested.metadata()
+    assert data["violating_key"] == current.metadata()
+    assert {name: data[name] for name in fields} == fields
 
 
 def failed_response(image_ref, at=T0):
@@ -143,43 +166,92 @@ class TestValidateRobustness:
         assert error.error_type == "NO_KEY_YET"
 
     def test_code_1_service_mismatch(self):
-        error = validate(make_token(service="other"), make_token(), make_dataset())
-        assert error.error_code == 1
+        assert_robustness_error(
+            make_token(service="other"),
+            make_token(),
+            1,
+            service_expected="vision",
+            service_provided="other",
+        )
 
     def test_code_2_dataset_mismatch(self):
         other_items = [refs.CAR_ITEM, refs.SHEEP_ITEM]
         other_dataset = BenchmarkDataset.create("other", other_items)
         old_snapshot, _ = refs.fixture_snapshots()
         requested = make_token(dataset=other_dataset, snapshot=old_snapshot[:2])
-        error = validate(requested, make_token(), make_dataset())
-        assert error.error_code == 2
+        assert_robustness_error(
+            requested,
+            make_token(),
+            2,
+            dataset_fingerprint_expected=make_dataset().fingerprint,
+            dataset_fingerprint_provided=other_dataset.fingerprint,
+            expected_labels_rule_expected=[],
+            expected_labels_rule_provided=[],
+        )
 
     def test_code_2_expected_labels_rule_mismatch(self):
         rules = replace(
             refs.FIXTURE_RULES, expected_labels_global=frozenset({"organism"})
         )
-        error = validate(make_token(rules=rules), make_token(), make_dataset())
-        assert error.error_code == 2
+        assert_robustness_error(
+            make_token(rules=rules),
+            make_token(),
+            2,
+            dataset_fingerprint_expected=make_dataset().fingerprint,
+            dataset_fingerprint_provided=make_dataset().fingerprint,
+            expected_labels_rule_expected=[],
+            expected_labels_rule_provided=["organism"],
+        )
 
     def test_code_3_success_mismatch(self):
         snapshot, _ = refs.fixture_snapshots()
         broken = [snapshot[0], failed_response(refs.SHEEP_URI), snapshot[2]]
-        error = validate(make_token(snapshot=broken), make_token(), make_dataset())
-        assert error.error_code == 3
+        assert_robustness_error(
+            make_token(snapshot=broken), make_token(), 3, success_provided=False
+        )
 
     def test_code_4_confidence_rules_mismatch(self):
+        # both confidence rules are reported whichever of them differs
         current = make_token()
-        requested = make_token(rules=replace(refs.FIXTURE_RULES, min_confidence=0.2))
-        assert validate(requested, current, make_dataset()).error_code == 4
-        requested = make_token(rules=replace(refs.FIXTURE_RULES, max_delta_confidence=0.5))
-        assert validate(requested, current, make_dataset()).error_code == 4
+        assert_robustness_error(
+            make_token(rules=replace(refs.FIXTURE_RULES, min_confidence=0.2)),
+            current,
+            4,
+            min_confidence_expected=0.0,
+            min_confidence_provided=0.2,
+            max_delta_confidence_expected=0.01,
+            max_delta_confidence_provided=0.01,
+        )
+        assert_robustness_error(
+            make_token(rules=replace(refs.FIXTURE_RULES, max_delta_confidence=0.5)),
+            current,
+            4,
+            min_confidence_expected=0.0,
+            min_confidence_provided=0.0,
+            max_delta_confidence_expected=0.01,
+            max_delta_confidence_provided=0.5,
+        )
 
     def test_code_5_label_rules_mismatch(self):
         current = make_token()
-        requested = make_token(rules=replace(refs.FIXTURE_RULES, max_labels=3))
-        assert validate(requested, current, make_dataset()).error_code == 5
-        requested = make_token(rules=replace(refs.FIXTURE_RULES, max_delta_labels=2))
-        assert validate(requested, current, make_dataset()).error_code == 5
+        assert_robustness_error(
+            make_token(rules=replace(refs.FIXTURE_RULES, max_labels=3)),
+            current,
+            5,
+            max_labels_expected=12,
+            max_labels_provided=3,
+            max_delta_labels_expected=5,
+            max_delta_labels_provided=5,
+        )
+        assert_robustness_error(
+            make_token(rules=replace(refs.FIXTURE_RULES, max_delta_labels=2)),
+            current,
+            5,
+            max_labels_expected=12,
+            max_labels_provided=12,
+            max_delta_labels_expected=5,
+            max_delta_labels_provided=2,
+        )
 
     def test_code_6_response_length_mismatch(self):
         # same fingerprint but a hand-built token with a shorter snapshot
@@ -194,7 +266,49 @@ class TestValidateRobustness:
             snapshot=tuple(snapshot[:2]),
             success=True,
         )
-        assert validate(requested, current, make_dataset()).error_code == 6
+        assert_robustness_error(
+            requested, current, 6, response_length_expected=3, response_length_provided=2
+        )
+
+    @given(
+        service=st.sampled_from(["vision", "other"]),
+        other_dataset=st.booleans(),
+        requested_failed=st.booleans(),
+        current_failed=st.booleans(),
+        rule_changes=st.lists(st.sampled_from(sorted(RULE_PERTURBATIONS)), unique=True),
+        short=st.booleans(),
+    )
+    def test_code_precedence_matches_oracle(
+        self, service, other_dataset, requested_failed, current_failed, rule_changes, short
+    ):
+        dataset = make_dataset()
+        snapshot, _ = refs.fixture_snapshots()
+        current_snapshot = list(snapshot)
+        if current_failed:
+            current_snapshot[1] = failed_response(refs.SHEEP_URI)
+        current = make_token(snapshot=current_snapshot)
+        if requested_failed:
+            snapshot[0] = failed_response(refs.CAR_URI)
+        if short:
+            snapshot = snapshot[:2]
+        fingerprint = dataset.fingerprint
+        if other_dataset:
+            fingerprint = BenchmarkDataset.create("other", [refs.CAR_ITEM]).fingerprint
+        requested = BehaviourToken(
+            token_id="0123456789abcdef",
+            service_id=service,
+            dataset_fingerprint=fingerprint,
+            created_at=T0,
+            rules=replace(refs.FIXTURE_RULES, **{k: RULE_PERTURBATIONS[k] for k in rule_changes}),
+            snapshot=tuple(snapshot),
+            success=all(r.success for r in snapshot),
+        )
+        expected = naive_oracle.robustness_code(requested, current)
+        error = validate(requested, current, dataset)
+        if expected is None:
+            assert error is None or error.error_code >= 7
+        else:
+            assert error.error_code == expected
 
     def test_robustness_beats_benchmark_failures(self):
         # different dataset AND label drift: the dataset mismatch must win

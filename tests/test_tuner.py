@@ -41,6 +41,14 @@ class TestGridValidation:
         with pytest.raises(ContractError):
             tune_thresholds(old, new, dataset, label_grid, confidence_grid)
 
+    def test_short_snapshot_is_contract_error(self, fixture_corpus):
+        # a snapshot missing an item is rejected, not silently truncated
+        dataset, old, new = fixture_corpus
+        with pytest.raises(ContractError):
+            tune_thresholds(old[:1], new, dataset, [1], [0.01])
+        with pytest.raises(ContractError):
+            tune_thresholds(old, new[:2], dataset, [1], [0.01])
+
 
 class TestCounts:
     def test_minimum_thresholds_catch_every_changed_image(self, fixture_corpus):
