@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import errno
+import json
 import logging
 import signal
 import sys
 import threading
 from pathlib import Path
-
-import requests
 
 from .config import (
     ConfigError,
@@ -33,6 +32,7 @@ from .config import (
 from .corpus import load_corpus_pair
 from .diffing import evaluate_epochs
 from .engine import GuardEngine, UpstreamUnreachable
+from .httpbase import post_json
 from .proxy import ProxyServer
 from .scheduler import OUTCOME_ABORTED, OUTCOME_ROTATED
 from .simulator import ScriptError, SimulatorServer, parse_script
@@ -103,17 +103,20 @@ def cmd_init(args) -> int:
 
     body = {"items": [item.to_dict() for item in items], "rules": config.rules.to_dict()}
     try:
-        reply = requests.post(f"{_client_base_url(config)}/benchmark", json=body, timeout=300)
-    except requests.RequestException:
+        status, headers, raw = post_json(f"{_client_base_url(config)}/benchmark", body, 300)
+    except OSError:
         return _init_embedded(config, items)
-    if reply.status_code == 201:
-        metadata = reply.json()
-        print(f"token_id: {metadata['token_id']}")
-        print(f"etag: {reply.headers.get('ETag', '')}")
+    try:
+        reply = json.loads(raw)
+    except ValueError:
+        reply = {}
+    if status == 201 and "token_id" in reply:
+        print(f"token_id: {reply['token_id']}")
+        print(f"etag: {headers.get('ETag', '')}")
         return EXIT_OK
-    if reply.status_code == 502:
-        return _fail(f"upstream unreachable: {reply.json().get('error', '')}", EXIT_UNREACHABLE)
-    return _fail(f"proxy rejected the benchmark: {reply.json().get('error', reply.status_code)}",
+    if status == 502:
+        return _fail(f"upstream unreachable: {reply.get('error', '')}", EXIT_UNREACHABLE)
+    return _fail(f"proxy rejected the benchmark: {reply.get('error', status)}",
                  EXIT_INVALID_INPUT)
 
 
@@ -164,16 +167,16 @@ def cmd_tick(args) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(str(exc), EXIT_INVALID_INPUT)
     try:
-        reply = requests.post(f"{_client_base_url(config)}/admin/detect", timeout=300)
-    except requests.RequestException as exc:
+        status, _, raw = post_json(f"{_client_base_url(config)}/admin/detect", None, 300)
+    except OSError as exc:
         return _fail(f"proxy unreachable: {exc}", EXIT_UNREACHABLE)
-    if reply.status_code == 409:
+    if status == 409:
         return _fail("proxy has no benchmark yet", EXIT_NOT_INITIALIZED)
     try:
-        payload = reply.json()
+        payload = json.loads(raw)
     except ValueError:
         payload = {}
-    if reply.status_code != 202 or payload.get("outcome") == OUTCOME_ABORTED:
+    if status != 202 or payload.get("outcome") == OUTCOME_ABORTED:
         return _fail(f"detection aborted: {payload.get('reason')}", EXIT_UNREACHABLE)
     if payload.get("outcome") == OUTCOME_ROTATED:
         print(f"token_rotated: {payload['old_token_id']} -> {payload['new_token_id']}")

@@ -16,9 +16,8 @@ import logging
 import threading
 from pathlib import Path
 
-import requests as _requests
-
 from .diffing import evaluate_epochs
+from .httpbase import post_json
 from .scheduler import (
     OUTCOME_ABORTED,
     OUTCOME_NO_CHANGE,
@@ -149,8 +148,8 @@ class GuardEngine:
             log.info("no warning callback configured; dropping notification")
             return
         try:
-            _requests.post(url, json=payload, timeout=5)
-        except _requests.RequestException as exc:
+            post_json(url, payload, timeout=5)
+        except OSError as exc:
             # The client must not be penalized for operator infrastructure.
             log.warning("warning callback delivery to %s failed: %s", url, exc)
 
@@ -195,22 +194,24 @@ class GuardEngine:
             if found is not None:
                 return found, None
             return None, unknown_token_error(value, current)
-        # Last-modified style: the newest token at or before the given date
-        # is the state the client believes in.
-        if current.created_at <= value:
-            return current, None
-        found = self.store.newest_at_or_before(value)
+        # Last-modified style: the date stands for the state the client
+        # believes in; a same-second rotation resolves to the older token.
+        found = self.store.newest_at_or_before(value, current)
         if found is not None:
             return found, None
         return None, unknown_token_error(iso_ts(value), current)
 
-    def _precondition_failed(self, error, url: str):
+    def _precondition_failed(self, error, url: str, counted: bool = True):
+        """412 the request. Only `counted` failures move the counter toward
+        z: a predecessor token failing is the proxy's own rotation at work,
+        but the current one failing (code 3) may be mended by a re-probe."""
         self._audit({"kind": "precondition_failed", "url": url, "error_code": error.error_code})
         hook = None
-        with self._counter_lock:
-            self._violations_since_run += 1
-            if self._violations_since_run >= self.config.violation_trigger_z:
-                hook = self.on_violation_threshold
+        if counted:
+            with self._counter_lock:
+                self._violations_since_run += 1
+                if self._violations_since_run >= self.config.violation_trigger_z:
+                    hook = self.on_violation_threshold
         if hook is not None:
             hook()
         return 412, {}, error.to_wire()
@@ -260,7 +261,8 @@ class GuardEngine:
         if error.error_code >= 7:
             severity = current.rules.severity[CATEGORY_FOR_CODE[error.error_code]]
         if severity == SEVERITY_ERROR:
-            return self._precondition_failed(error, url)
+            counted = requested.token_id == current.token_id
+            return self._precondition_failed(error, url, counted=counted)
 
         # warning and info still serve the client from upstream
         status, headers, body = self._forward(url, max_results, current)

@@ -1,9 +1,10 @@
-"""Minimal JSON-over-HTTP server glue on top of the stdlib http.server.
+"""Minimal JSON-over-HTTP glue on the stdlib: the servers and the client.
 
 Both the guard proxy and the mock upstream are tiny JSON APIs; a routing
 callable keeps them testable without a web framework and shuts down
 deterministically (thread + shutdown()), which matters for embedding in
-tests and the CLI.
+tests and the CLI. Every outbound call (upstream labelling, the warning
+callback, `init`/`tick` against a running proxy) goes through post_json.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 log = logging.getLogger(__name__)
 
@@ -81,16 +84,12 @@ class JsonHttpServer:
         return Handler
 
     @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
     def port(self) -> int:
         return self._httpd.server_address[1]
 
     @property
     def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return f"http://{self._httpd.server_address[0]}:{self.port}"
 
     def start(self):
         # small poll interval keeps shutdown latency low for embedded use
@@ -112,3 +111,30 @@ class JsonHttpServer:
 
     def __exit__(self, *exc_info):
         self.stop()
+
+
+def post_json(url: str, payload, timeout: float):
+    """POST `payload` as a JSON body on a fresh connection and return
+    (status, headers, raw body bytes). Anything that keeps an answer from
+    arriving raises OSError: a URL that is not http(s) with a host and a
+    valid port, a failed connect or TLS handshake, a timeout, or a reply
+    that is not HTTP."""
+    parts = urlsplit(url)
+    try:
+        port = parts.port
+    except ValueError as exc:
+        raise OSError(f"bad port in {url!r}") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise OSError(f"not an http(s) URL with a host: {url!r}")
+    connection_class = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    connection = connection_class(parts.hostname, port, timeout=timeout)
+    try:
+        connection.request("POST", target, body, {"Content-Type": "application/json"})
+        reply = connection.getresponse()
+        return reply.status, reply.headers, reply.read()
+    except (HTTPException, UnicodeError) as exc:
+        raise OSError(f"HTTP exchange with {url} failed: {exc!r}") from exc
+    finally:
+        connection.close()

@@ -13,8 +13,6 @@ without either gets 428 Precondition Required; a malformed one gets 400.
 
 from __future__ import annotations
 
-import logging
-
 from .engine import GuardEngine, UpstreamUnreachable
 from .httpbase import JsonHttpServer
 from .scheduler import OUTCOME_ABORTED
@@ -28,38 +26,13 @@ from .types import (
     parse_iso_ts,
 )
 
-log = logging.getLogger(__name__)
 
-
-class ProxyServer:
+class ProxyServer(JsonHttpServer):
     def __init__(self, config, engine: GuardEngine | None = None, port: int | None = None):
         self.config = config
         self.engine = engine or GuardEngine(config)
-        host = config.listen_host
         listen_port = config.listen_port if port is None else port
-        self._http = JsonHttpServer(host, listen_port, self._route)
-
-    @property
-    def port(self) -> int:
-        return self._http.port
-
-    @property
-    def base_url(self) -> str:
-        return self._http.base_url
-
-    def start(self):
-        self._http.start()
-        log.info("guard proxy listening on %s", self._http.base_url)
-        return self
-
-    def stop(self):
-        self._http.stop()
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info):
-        self.stop()
+        super().__init__(config.listen_host, listen_port, self._route)
 
     # --------------------------------------------------------------- routing
 

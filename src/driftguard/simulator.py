@@ -23,7 +23,6 @@ ontology ids, so equal (script, seed) pairs serve byte-identical bodies.
 
 from __future__ import annotations
 
-import logging
 import random
 import threading
 from dataclasses import dataclass
@@ -31,8 +30,6 @@ from datetime import datetime, timezone
 
 from .httpbase import JsonHttpServer
 from .types import BenchmarkItem, ContractError, LabelAnnotation, LabelledResponse, sha256_hex
-
-log = logging.getLogger(__name__)
 
 KINDS_WITH_VALUE = {"add", "shift"}
 KINDS = ("add", "drop", "shift", "replace_top")
@@ -238,7 +235,7 @@ def corpus_for_epoch(script: DriftScript, epoch_index: int) -> list[LabelledResp
     return responses
 
 
-class SimulatorServer:
+class SimulatorServer(JsonHttpServer):
     """Serves a drift script over HTTP in the upstream's wire format.
 
     POST with {"url", "maxResults"} answers from the active epoch; POST
@@ -251,19 +248,15 @@ class SimulatorServer:
         self._states = build_epoch_states(script)
         self._epoch = 0
         self._lock = threading.Lock()
-        self._http = JsonHttpServer(host, port, self._route)
+        super().__init__(host, port, self._route)
 
     @property
     def epoch(self) -> int:
         return self._epoch
 
     @property
-    def port(self) -> int:
-        return self._http.port
-
-    @property
     def endpoint(self) -> str:
-        return self._http.base_url + "/annotate"
+        return self.base_url + "/annotate"
 
     def advance_epoch(self) -> int:
         with self._lock:
@@ -290,20 +283,6 @@ class SimulatorServer:
                 return 404, {}, {"error": f"no such image: {url}"}
             return 200, {}, wire_body(state[url], self._script.seed, max_results)
         return 404, {}, {"error": "not found"}
-
-    def start(self):
-        self._http.start()
-        log.info("simulator listening on %s (epochs: %d)", self._http.base_url, len(self._states))
-        return self
-
-    def stop(self):
-        self._http.stop()
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info):
-        self.stop()
 
 
 _VOCABULARY = [

@@ -389,8 +389,23 @@ class TokenStore:
                 return token
         return None
 
-    def newest_at_or_before(self, moment: datetime) -> BehaviourToken | None:
-        for token in reversed(self._history):
-            if token.created_at <= moment:
-                return token
-        return None
+    def newest_at_or_before(
+        self, moment: datetime, upto: BehaviourToken | None = None
+    ) -> BehaviourToken | None:
+        """The oldest token of the newest second at or before `moment` that
+        holds one: a one-second date cannot tell same-second mints apart,
+        and the oldest fails closed. Tokens stored after `upto` (the
+        current token a request read on entry) are out of reach."""
+        history = self._history
+        position = len(history) - 1
+        if upto is not None:
+            while position >= 0 and history[position].token_id != upto.token_id:
+                position -= 1
+        while position >= 0 and history[position].created_at > moment:
+            position -= 1
+        if position < 0:
+            return None
+        second = history[position].created_at
+        while position > 0 and history[position - 1].created_at == second:
+            position -= 1
+        return history[position]

@@ -8,12 +8,12 @@ proxy must keep serving through.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-import requests
-
+from .httpbase import post_json
 from .types import BenchmarkDataset, LabelledResponse, ThresholdRules, utc_now_second
 from .wire import AnnotateRequest, WireFormatError, parse_wire_response
 
@@ -45,16 +45,16 @@ class UpstreamClient:
         yields a success=False response; annotations are normalized and
         truncated to the requested count."""
         try:
-            reply = requests.post(self.endpoint, json=request.to_wire(), timeout=self.timeout)
-        except requests.RequestException as exc:
+            status, _, raw = post_json(self.endpoint, request.to_wire(), self.timeout)
+        except OSError as exc:
             log.warning("upstream call failed for %s: %s", request.url, exc)
             return self._failure(request.url)
-        if not 200 <= reply.status_code < 300:
-            log.warning("upstream returned %d for %s", reply.status_code, request.url)
+        if not 200 <= status < 300:
+            log.warning("upstream returned %d for %s", status, request.url)
             return self._failure(request.url)
         try:
             return parse_wire_response(
-                reply.json(),
+                json.loads(raw),
                 image_ref=request.url,
                 captured_at=utc_now_second(),
                 max_results=request.max_results,

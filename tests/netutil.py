@@ -12,13 +12,13 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
-class CallbackReceiver:
+class CallbackReceiver(JsonHttpServer):
     """Collects JSON bodies POSTed to it; stands in for an operator webhook."""
 
     def __init__(self):
         self.received = []
         self._event = threading.Event()
-        self._http = JsonHttpServer("127.0.0.1", 0, self._route)
+        super().__init__("127.0.0.1", 0, self._route)
 
     def _route(self, method, path, body, headers):
         if method == "POST":
@@ -29,22 +29,15 @@ class CallbackReceiver:
 
     @property
     def url(self) -> str:
-        return self._http.base_url + "/callback"
+        return self.base_url + "/callback"
 
     def wait(self, timeout=5.0) -> bool:
         hit = self._event.wait(timeout)
         self._event.clear()
         return hit
 
-    def __enter__(self):
-        self._http.start()
-        return self
 
-    def __exit__(self, *exc_info):
-        self._http.stop()
-
-
-class ScriptedUpstream:
+class ScriptedUpstream(JsonHttpServer):
     """Upstream double with per-call scripting: fail N times, count calls."""
 
     def __init__(self, wire_body_fn, fail_first=0, broken_refs=()):
@@ -53,7 +46,7 @@ class ScriptedUpstream:
         self.broken_refs = set(broken_refs)
         self._wire_body_fn = wire_body_fn
         self._lock = threading.Lock()
-        self._http = JsonHttpServer("127.0.0.1", 0, self._route)
+        super().__init__("127.0.0.1", 0, self._route)
 
     def _route(self, method, path, body, headers):
         if method != "POST":
@@ -70,14 +63,7 @@ class ScriptedUpstream:
 
     @property
     def endpoint(self) -> str:
-        return self._http.base_url + "/annotate"
-
-    def __enter__(self):
-        self._http.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._http.stop()
+        return self.base_url + "/annotate"
 
 
 class InFlightGauge:

@@ -3,6 +3,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -74,6 +75,11 @@ def wait_http(url, deadline=15.0):
         except requests.RequestException:
             time.sleep(0.05)
     raise TimeoutError(f"{url} never came up")
+
+
+def test_cli_import_leaves_requests_out():
+    code = "import sys, driftguard.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
 class TestReplay:
@@ -267,6 +273,41 @@ class TestInit:
         config_path, _ = write_config(tmp_path, f"http://127.0.0.1:{free_port()}/annotate")
         code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("status", [201, 501])
+    def test_non_json_reply_at_listen_is_exit_2(self, tmp_path, capsys, status):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_html():
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+                while len(body) < length:
+                    body += conn.recv(65536)
+                page = b"<html>not a proxy</html>"
+                conn.sendall(
+                    b"HTTP/1.1 %d X\r\nContent-Type: text/html\r\n"
+                    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                    % (status, len(page), page)
+                )
+
+        thread = threading.Thread(target=answer_html, daemon=True)
+        thread.start()
+        manifest = tmp_path / "mini.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
+        listen = f"127.0.0.1:{listener.getsockname()[1]}"
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
+        try:
+            code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
+        finally:
+            thread.join(5)
+            listener.close()
+        assert code == 2
+        assert "proxy rejected the benchmark" in capsys.readouterr().err
 
     def test_config_resolution_via_env(self, tmp_path, capsys, monkeypatch):
         manifest = tmp_path / "dup.tsv"

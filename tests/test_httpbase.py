@@ -1,0 +1,84 @@
+import json
+import socket
+import threading
+
+import pytest
+
+from driftguard.httpbase import JsonHttpServer, post_json
+
+from netutil import free_port
+
+
+class Recorder(JsonHttpServer):
+    """Answers every request with 201 and remembers what arrived."""
+
+    def __init__(self):
+        self.seen = []
+        super().__init__("127.0.0.1", 0, self._route)
+
+    def _route(self, method, path, body, headers):
+        self.seen.append((method, path, body, headers.get("Content-Type")))
+        return 201, {"ETag": 'W/"abc"'}, {"ok": True}
+
+
+class TestPostJson:
+    def test_round_trip(self):
+        with Recorder() as server:
+            status, headers, raw = post_json(server.base_url + "/x", {"k": "é"}, 5)
+        assert status == 201
+        assert headers.get("etag") == 'W/"abc"'
+        assert json.loads(raw) == {"ok": True}
+        assert server.seen == [("POST", "/x", {"k": "é"}, "application/json")]
+
+    def test_query_string_reaches_the_server(self):
+        with Recorder() as server:
+            post_json(server.base_url + "/annotate?key=v&n=2", {}, 5)
+        assert server.seen[0][1] == "/annotate?key=v&n=2"
+
+    def test_no_payload_sends_an_empty_body(self):
+        with Recorder() as server:
+            post_json(server.base_url, None, 5)
+        assert server.seen == [("POST", "/", None, "application/json")]
+
+    def test_https_against_plain_http_is_oserror(self):
+        with Recorder() as server:
+            with pytest.raises(OSError):
+                post_json(f"https://127.0.0.1:{server.port}/x", {}, 5)
+
+    def test_garbage_status_line_is_oserror(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_garbage():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"garbage\r\n\r\n")
+
+        thread = threading.Thread(target=answer_garbage, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(OSError):
+                post_json(f"http://127.0.0.1:{listener.getsockname()[1]}/x", {}, 5)
+        finally:
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+
+    def test_connection_refused_is_oserror(self):
+        with pytest.raises(OSError):
+            post_json(f"http://127.0.0.1:{free_port()}/x", {}, 1)
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "localhost:1/annotate",
+            "http:///annotate",
+            "http://127.0.0.1:notaport/a",
+            "http://127.0.0.1:70000/a",
+            "ftp://127.0.0.1/annotate",
+            "http://ü..b/x",
+        ],
+    )
+    def test_unusable_url_is_oserror(self, url):
+        with pytest.raises(OSError):
+            post_json(url, {}, 1)

@@ -280,10 +280,10 @@ class TestAnnotateServing:
 
 
 class TestEvolutionFlow:
-    def rotate(self, proxy, sim, clock):
+    def rotate(self, proxy, sim, clock, when=T_ROTATE):
         etag = post_benchmark(proxy).headers["ETag"]
         sim.advance_epoch()
-        clock.now = T_ROTATE
+        clock.now = when
         reply = requests.post(f"{proxy.base_url}/admin/detect", timeout=10)
         assert reply.status_code == 202
         assert reply.json()["outcome"] == "token_rotated"
@@ -312,6 +312,17 @@ class TestEvolutionFlow:
         assert reply.status_code == 412
         assert reply.json()["error_code"] >= 7
         assert annotate(proxy, date=http_date(T_ROTATE)).status_code == 200
+
+    def test_same_second_rotation_resolves_dates_to_the_older_token(self, stack, sim):
+        # One-second dates cannot tell the two tokens apart: fail closed, as
+        # the predecessor's ETag does, rather than serve the new baseline.
+        proxy, _, clock = stack
+        old_etag, detect = self.rotate(proxy, sim, clock, when=T_INIT)
+        by_date = annotate(proxy, date=http_date(T_INIT))
+        by_etag = annotate(proxy, etag=old_etag)
+        assert by_date.status_code == by_etag.status_code == 412
+        assert by_date.json() == by_etag.json()
+        assert annotate(proxy, etag=f'W/"{detect["new_token_id"]}"').status_code == 200
 
     def test_date_before_any_token_is_412_code_2(self, stack):
         proxy, _, _ = stack
@@ -420,6 +431,12 @@ class TestSeverityDispatch:
     def test_warning_callback_failure_still_serves(self, sim, tmp_path):
         dead_callback = f"http://127.0.0.1:{free_port()}/callback"
         proxy, clock = self.make_stack(sim, tmp_path, "warning", dead_callback)
+        with proxy:
+            reply = self.drift_and_request_with_stale_token(proxy, sim, clock)
+        assert reply.status_code == 200
+
+    def test_malformed_callback_url_still_serves(self, sim, tmp_path):
+        proxy, clock = self.make_stack(sim, tmp_path, "warning", "localhost:1/cb")
         with proxy:
             reply = self.drift_and_request_with_stale_token(proxy, sim, clock)
         assert reply.status_code == 200

@@ -47,14 +47,17 @@ def make_engine(sim, tmp_path, callback_url=None, z=3):
     return config, engine
 
 
-def init_engine(engine):
+def engine_items():
     from driftguard.types import BenchmarkItem
 
-    items = [
+    return [
         BenchmarkItem(e["image_ref"], e["ground_truth"], frozenset(e["expected_labels"]))
         for e in MANIFEST_ITEMS
     ]
-    return engine.initialize_benchmark(items, engine.config.rules)
+
+
+def init_engine(engine):
+    return engine.initialize_benchmark(engine_items(), engine.config.rules)
 
 
 @pytest.fixture()
@@ -199,6 +202,39 @@ class TestRunDetection:
         assert engine.violations_since_run() == 1
         engine.run_detection(TRIGGER_MANUAL)
         assert engine.violations_since_run() == 0
+
+    def test_predecessor_412s_do_not_count_toward_z(self, sim, tmp_path):
+        url = "http://images.test/a.jpg"
+        _, engine = make_engine(sim, tmp_path, z=1)
+        assert engine.annotate(url, None, ("etag", "f" * 16))[0] == 412  # code 0
+        assert engine.violations_since_run() == 1
+        old = init_engine(engine)
+        sim.advance_epoch()
+        assert engine.run_detection(TRIGGER_MANUAL).outcome == OUTCOME_ROTATED
+        fired = []
+        engine.on_violation_threshold = lambda: fired.append(True)
+        for token_ref in (("etag", old.token_id), ("date", old.created_at)):
+            assert engine.annotate(url, None, token_ref)[0] == 412
+        assert engine.violations_since_run() == 0 and fired == []
+        assert engine.annotate(url, None, ("etag", "f" * 16))[0] == 412
+        assert engine.violations_since_run() == 1 and fired == [True]
+
+    def test_current_token_failing_still_counts_toward_z(self, sim, tmp_path):
+        from driftguard.types import BenchmarkItem
+
+        _, engine = make_engine(sim, tmp_path, z=1)
+        ghost = BenchmarkItem("http://images.test/ghost.jpg", "?", frozenset())
+        current = engine.initialize_benchmark(
+            [*engine_items(), ghost], engine.config.rules
+        )
+        assert current.success is False
+        fired = []
+        engine.on_violation_threshold = lambda: fired.append(True)
+        status, _, body = engine.annotate(
+            "http://images.test/a.jpg", None, ("etag", current.token_id)
+        )
+        assert (status, body["error_code"]) == (412, 3)
+        assert fired == [True]
 
 
 class TestSchedulerLoop:

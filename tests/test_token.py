@@ -509,6 +509,21 @@ class TestTokenStore:
         assert store.newest_at_or_before(T1).token_id == second.token_id
         assert store.newest_at_or_before(T0 - timedelta(seconds=1)) is None
 
+    def test_same_second_tokens_resolve_to_the_oldest(self, tmp_path):
+        store = TokenStore(tmp_path)
+        first = make_token(now=T0)
+        second = make_token(now=T1, service="a")
+        third = make_token(now=T1, service="b")
+        later = make_token(now=T1 + timedelta(hours=1))
+        for token in (first, second, third, later):
+            store.store(token)
+        assert store.newest_at_or_before(T1).token_id == second.token_id
+        assert store.newest_at_or_before(T1 + timedelta(minutes=1)).token_id == second.token_id
+        assert store.newest_at_or_before(later.created_at).token_id == later.token_id
+        # a token stored after the one a request read as current is out of reach
+        bounded = store.newest_at_or_before(later.created_at, upto=third)
+        assert bounded.token_id == second.token_id
+
     def test_unreadable_files_are_skipped(self, tmp_path):
         (tmp_path / "junk.token").write_text("{not json", encoding="utf-8")
         store = TokenStore(tmp_path)

@@ -1,3 +1,5 @@
+import pytest
+
 from driftguard.simulator import SimulatorServer, parse_script, wire_body
 from driftguard.types import BenchmarkDataset, BenchmarkItem, ThresholdRules
 from driftguard.upstream import UpstreamClient
@@ -63,6 +65,20 @@ class TestAnnotate:
         client = fast_client(f"http://127.0.0.1:{free_port()}/annotate", timeout=0.5)
         response = client.annotate(AnnotateRequest("http://x", 5))
         assert not response.success
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "localhost:1/annotate",
+            "http:///annotate",
+            "http://127.0.0.1:notaport/a",
+            "ftp://127.0.0.1/annotate",
+        ],
+    )
+    def test_malformed_endpoint_becomes_failure_response(self, endpoint):
+        response = fast_client(endpoint, timeout=0.5).annotate(AnnotateRequest("http://x", 5))
+        assert not response.success
+        assert response.image_ref == "http://x"
 
     def test_malformed_body_becomes_failure_response(self):
         body_fn = lambda url, n: {"unexpected": True}
