@@ -34,7 +34,7 @@ from .diffing import evaluate_epochs
 from .engine import GuardEngine, UpstreamUnreachable
 from .httpbase import post_json
 from .proxy import ProxyServer
-from .scheduler import OUTCOME_ABORTED, OUTCOME_ROTATED
+from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED
 from .simulator import ScriptError, SimulatorServer, parse_script
 from .token import etag_of
 from .tuner import tune_thresholds
@@ -60,6 +60,16 @@ def _client_base_url(config) -> str:
     if host in ("0.0.0.0", "::"):
         host = "127.0.0.1"
     return f"http://{host}:{config.listen_port}"
+
+
+def _json_object(raw: bytes) -> dict:
+    """A proxy reply body as a JSON object; anything else reads as {}, since
+    something other than the proxy may be answering."""
+    try:
+        reply = json.loads(raw)
+    except ValueError:
+        return {}
+    return reply if isinstance(reply, dict) else {}
 
 
 def _load_config_arg(args):
@@ -106,10 +116,7 @@ def cmd_init(args) -> int:
         status, headers, raw = post_json(f"{_client_base_url(config)}/benchmark", body, 300)
     except OSError:
         return _init_embedded(config, items)
-    try:
-        reply = json.loads(raw)
-    except ValueError:
-        reply = {}
+    reply = _json_object(raw)
     if status == 201 and "token_id" in reply:
         print(f"token_id: {reply['token_id']}")
         print(f"etag: {headers.get('ETag', '')}")
@@ -172,13 +179,11 @@ def cmd_tick(args) -> int:
         return _fail(f"proxy unreachable: {exc}", EXIT_UNREACHABLE)
     if status == 409:
         return _fail("proxy has no benchmark yet", EXIT_NOT_INITIALIZED)
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        payload = {}
-    if status != 202 or payload.get("outcome") == OUTCOME_ABORTED:
-        return _fail(f"detection aborted: {payload.get('reason')}", EXIT_UNREACHABLE)
-    if payload.get("outcome") == OUTCOME_ROTATED:
+    payload = _json_object(raw)
+    outcome = payload.get("outcome")
+    if status != 202 or outcome not in (OUTCOME_NO_CHANGE, OUTCOME_ROTATED):
+        return _fail(f"detection aborted: {payload.get('reason', status)}", EXIT_UNREACHABLE)
+    if outcome == OUTCOME_ROTATED:
         print(f"token_rotated: {payload['old_token_id']} -> {payload['new_token_id']}")
     else:
         print("no_change")

@@ -17,7 +17,7 @@ import threading
 from pathlib import Path
 
 from .diffing import evaluate_epochs
-from .httpbase import post_json
+from .httpbase import encode_json, post_json
 from .scheduler import (
     OUTCOME_ABORTED,
     OUTCOME_NO_CHANGE,
@@ -41,7 +41,6 @@ from .types import (
     canonical_json,
     http_date,
     iso_ts,
-    pretty_json,
     utc_now_second,
 )
 from .upstream import UpstreamClient
@@ -91,6 +90,8 @@ class GuardEngine:
         self._counter_lock = threading.Lock()
         self._violations_since_run = 0
         self._run_lock = threading.Lock()
+        # (current token id, {requested token id: (error, encoded 412 body)})
+        self._verdicts: tuple = (None, {})
         # Set by the scheduler; called when the 412 counter reaches z.
         self.on_violation_threshold = None
 
@@ -132,7 +133,7 @@ class GuardEngine:
 
     def _save_dataset(self, dataset: BenchmarkDataset):
         path = self.storage / DATASET_FILE
-        path.write_text(pretty_json(dataset.to_dict()) + "\n", encoding="utf-8")
+        path.write_text(canonical_json(dataset.to_dict()) + "\n", encoding="utf-8")
 
     def _append_line(self, filename: str, record: dict):
         with self._log_lock:
@@ -201,10 +202,11 @@ class GuardEngine:
             return found, None
         return None, unknown_token_error(iso_ts(value), current)
 
-    def _precondition_failed(self, error, url: str, counted: bool = True):
-        """412 the request. Only `counted` failures move the counter toward
-        z: a predecessor token failing is the proxy's own rotation at work,
-        but the current one failing (code 3) may be mended by a re-probe."""
+    def _precondition_failed(self, error, url: str, counted: bool = True, body=None):
+        """412 the request, with `body` when it is already encoded. Only
+        `counted` failures move the counter toward z: a predecessor token
+        failing is the proxy's own rotation at work, but the current one
+        failing (code 3) may be mended by a re-probe."""
         self._audit({"kind": "precondition_failed", "url": url, "error_code": error.error_code})
         hook = None
         if counted:
@@ -214,7 +216,24 @@ class GuardEngine:
                     hook = self.on_violation_threshold
         if hook is not None:
             hook()
-        return 412, {}, error.to_wire()
+        return 412, {}, error.to_wire() if body is None else body
+
+    def _verdict(self, requested, current, dataset):
+        """validate(requested, current, dataset) and its encoded 412 body,
+        computed once per requested token while `current` stays current.
+        Tokens are immutable and _baseline() pins the dataset to the current
+        token's fingerprint, so the two token ids decide the result; the
+        cache holds at most one entry per token in history."""
+        current_id, verdicts = self._verdicts
+        if current_id != current.token_id:
+            verdicts = {}
+            self._verdicts = (current.token_id, verdicts)
+        verdict = verdicts.get(requested.token_id)
+        if verdict is None:
+            error = validate(requested, current, dataset)
+            body = None if error is None else encode_json(error.to_wire())
+            verdict = verdicts[requested.token_id] = (error, body)
+        return verdict
 
     def _forward(self, url: str, max_results: int | None, current):
         rules = current.rules
@@ -251,7 +270,7 @@ class GuardEngine:
         requested, resolution_error = self._resolve_token(token_ref, current)
         if resolution_error is not None:
             return self._precondition_failed(resolution_error, url)
-        error = validate(requested, current, dataset)
+        error, error_body = self._verdict(requested, current, dataset)
         if error is None:
             return self._forward(url, max_results, current)
 
@@ -262,7 +281,7 @@ class GuardEngine:
             severity = current.rules.severity[CATEGORY_FOR_CODE[error.error_code]]
         if severity == SEVERITY_ERROR:
             counted = requested.token_id == current.token_id
-            return self._precondition_failed(error, url, counted=counted)
+            return self._precondition_failed(error, url, counted=counted, body=error_body)
 
         # warning and info still serve the client from upstream
         status, headers, body = self._forward(url, max_results, current)

@@ -28,7 +28,6 @@ from .types import (
     canonical_json,
     iso_ts,
     parse_iso_ts,
-    pretty_json,
     sha256_hex,
 )
 
@@ -365,7 +364,7 @@ class TokenStore:
         return self._dir / f"{unix}-{token.token_id}.token"
 
     def store(self, token: BehaviourToken) -> Path:
-        payload = pretty_json(token.to_dict()) + "\n"
+        payload = canonical_json(token.to_dict()) + "\n"
         with self._lock:
             path = self.path_for(token)
             path.write_text(payload, encoding="utf-8")

@@ -3,7 +3,8 @@ benchmark snapshots.
 
 Failures never raise into callers; they come back as success=False
 responses with the cause logged, because a dead upstream is a state the
-proxy must keep serving through.
+proxy must keep serving through. A labelling call only reads, so the
+client keeps its connections alive between calls and threads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .httpbase import post_json
+from .httpbase import ConnectionPool, post_json
 from .types import BenchmarkDataset, LabelledResponse, ThresholdRules, utc_now_second
 from .wire import AnnotateRequest, WireFormatError, parse_wire_response
 
@@ -34,6 +35,8 @@ class UpstreamClient:
         self.retries = retries
         self.backoff_base = backoff_base
         self.concurrency = concurrency
+        # one idle connection per snapshot worker
+        self._pool = ConnectionPool(max(1, concurrency))
 
     def _failure(self, image_ref: str) -> LabelledResponse:
         return LabelledResponse(
@@ -45,7 +48,9 @@ class UpstreamClient:
         yields a success=False response; annotations are normalized and
         truncated to the requested count."""
         try:
-            status, _, raw = post_json(self.endpoint, request.to_wire(), self.timeout)
+            status, _, raw = post_json(
+                self.endpoint, request.to_wire(), self.timeout, self._pool
+            )
         except OSError as exc:
             log.warning("upstream call failed for %s: %s", request.url, exc)
             return self._failure(request.url)

@@ -12,6 +12,29 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
+def read_request(conn) -> bytes | None:
+    """The body of the next HTTP request on a raw server-side socket, or
+    None when the client closed the connection first."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return None
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    while len(body) < length:
+        body += conn.recv(65536)
+    return body
+
+
+def http_reply(status: int, body: bytes, content_type="application/json") -> bytes:
+    """A complete HTTP/1.1 response that leaves the connection open."""
+    return b"HTTP/1.1 %d X\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s" % (
+        status, content_type.encode(), len(body), body,
+    )
+
+
 class CallbackReceiver(JsonHttpServer):
     """Collects JSON bodies POSTed to it; stands in for an operator webhook."""
 

@@ -14,7 +14,7 @@ from driftguard.corpus import write_corpus
 from driftguard.simulator import SimulatorServer, parse_script
 
 import reference_fixtures as refs
-from netutil import free_port
+from netutil import free_port, http_reply, read_request
 from test_proxy import DRIFT_SCRIPT
 
 RULES_TEXT = (
@@ -55,6 +55,24 @@ def write_config(tmp_path, upstream_url, listen=None, **overrides):
         "\n".join(f"{key}={value}" for key, value in lines.items()) + "\n", encoding="utf-8"
     )
     return path, listen
+
+
+NOT_A_PROXY = b"<html>not a proxy</html>"
+
+
+def answer_once(listener, reply: bytes) -> threading.Thread:
+    """Answer the next request that reaches `listener` with the raw bytes
+    `reply`, from a thread of its own."""
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn:
+            read_request(conn)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return thread
 
 
 def spawn(args):
@@ -274,29 +292,18 @@ class TestInit:
         code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
         assert code == 3
 
-    @pytest.mark.parametrize("status", [201, 501])
-    def test_non_json_reply_at_listen_is_exit_2(self, tmp_path, capsys, status):
+    @pytest.mark.parametrize(
+        "status,body,content_type",
+        [
+            pytest.param(201, NOT_A_PROXY, "text/html", id="201"),
+            pytest.param(501, NOT_A_PROXY, "text/html", id="501"),
+            pytest.param(400, b"[1]", "application/json", id="400-array"),
+            pytest.param(201, b"5", "application/json", id="201-number"),
+        ],
+    )
+    def test_non_json_reply_at_listen_is_exit_2(self, tmp_path, capsys, status, body, content_type):
         listener = socket.create_server(("127.0.0.1", 0))
-
-        def answer_html():
-            conn, _ = listener.accept()
-            with conn:
-                request = b""
-                while b"\r\n\r\n" not in request:
-                    request += conn.recv(65536)
-                head, _, body = request.partition(b"\r\n\r\n")
-                length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
-                while len(body) < length:
-                    body += conn.recv(65536)
-                page = b"<html>not a proxy</html>"
-                conn.sendall(
-                    b"HTTP/1.1 %d X\r\nContent-Type: text/html\r\n"
-                    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
-                    % (status, len(page), page)
-                )
-
-        thread = threading.Thread(target=answer_html, daemon=True)
-        thread.start()
+        thread = answer_once(listener, http_reply(status, body, content_type))
         manifest = tmp_path / "mini.tsv"
         manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
         listen = f"127.0.0.1:{listener.getsockname()[1]}"
@@ -306,6 +313,7 @@ class TestInit:
         finally:
             thread.join(5)
             listener.close()
+        assert not thread.is_alive()
         assert code == 2
         assert "proxy rejected the benchmark" in capsys.readouterr().err
 
@@ -368,6 +376,20 @@ class TestServeAndTick:
     def test_tick_against_dead_proxy_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate")
         assert main(["tick", "--config", str(config_path)]) == 3
+
+    def test_non_object_reply_to_tick_is_exit_3(self, tmp_path, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+        thread = answer_once(listener, http_reply(202, b"[]"))
+        listen = f"127.0.0.1:{listener.getsockname()[1]}"
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
+        try:
+            code = main(["tick", "--config", str(config_path)])
+        finally:
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 3
+        assert "detection aborted" in capsys.readouterr().err
 
     def test_serve_port_in_use_exit_4(self, tmp_path):
         blocker = socket.socket()

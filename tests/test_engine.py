@@ -1,0 +1,194 @@
+"""The engine without HTTP: the per-token verdict cache (a stale token's
+412 is computed once per current token, and serving it from the cache
+changes nothing a client or the z counter can see) and the storage files."""
+
+import json
+import tempfile
+from dataclasses import replace
+
+import hypothesis.strategies as st
+from hypothesis import given
+
+from driftguard.config import ProxyConfig
+from driftguard.engine import DATASET_FILE, GuardEngine
+from driftguard.httpbase import encode_json
+from driftguard.token import BehaviourToken, mint_token, validate
+from driftguard.types import BenchmarkDataset, LabelledResponse, canonical_json, utc_now_second
+
+import reference_fixtures as refs
+from gen_strategies import T0, T1
+
+DATASET = BenchmarkDataset.create("fixtures", refs.FIXTURE_ITEMS)
+OLD, NEW = refs.fixture_snapshots()
+URL = "http://images.test/a.jpg"
+
+
+class CannedUpstream:
+    """Answers every labelling call with an empty successful response."""
+
+    def annotate(self, request):
+        return LabelledResponse(request.url, (), utc_now_second())
+
+
+def make_engine(storage, z=1000):
+    config = ProxyConfig(
+        listen="127.0.0.1:0",
+        upstream_url="http://127.0.0.1:1/annotate",
+        service_id="vision",
+        storage_path=str(storage),
+        violation_trigger_z=z,
+        rules=refs.FIXTURE_RULES,
+    )
+    return GuardEngine(config, client=CannedUpstream())
+
+
+def install(engine, *tokens):
+    """Give the engine a baseline: the fixture dataset and `tokens` as its
+    history, the last one current."""
+    engine.dataset = DATASET
+    for token in tokens:
+        engine.store.store(token)
+
+
+def failed(response):
+    return LabelledResponse(response.image_ref, (), response.captured_at, success=False)
+
+
+def as_body(payload) -> bytes:
+    return payload if isinstance(payload, bytes) else encode_json(payload)
+
+
+# The change that makes validate() return each robustness code, applied to
+# the fields of a token that otherwise matches the current one.
+ROBUSTNESS_CHANGES = {
+    1: lambda fields: {**fields, "service_id": "other"},
+    2: lambda fields: {
+        **fields,
+        "dataset_fingerprint": BenchmarkDataset.create("other", [refs.CAR_ITEM]).fingerprint,
+    },
+    3: lambda fields: {**fields, "snapshot": (failed(fields["snapshot"][0]), *fields["snapshot"][1:])},
+    4: lambda fields: {**fields, "rules": replace(fields["rules"], min_confidence=0.2)},
+    5: lambda fields: {**fields, "rules": replace(fields["rules"], max_labels=3)},
+    6: lambda fields: {**fields, "snapshot": fields["snapshot"][:2]},
+}
+# Benchmark codes: the new snapshot already misses the iguana's expected
+# label (9); the sheep's old response adds 8 and the car's old one 7.
+OLD_POSITIONS = {7: 0, 8: 1}
+
+
+@st.composite
+def stale_cases(draw):
+    """(code, requested token or None, current token): the requested token
+    fails with exactly `code` against the current one, with changes of
+    lower precedence mixed in. None stands for a request the proxy gets
+    before it has a baseline (code 0)."""
+    code = draw(st.integers(min_value=0, max_value=9))
+    current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+    if code == 0:
+        return code, None, current
+    if code == 3 and draw(st.booleans()):
+        # the current token itself, minted from a partly failed snapshot
+        unsuccessful = mint_token(
+            "vision", DATASET, refs.FIXTURE_RULES, [failed(NEW[0]), *NEW[1:]], T1
+        )
+        return code, unsuccessful, unsuccessful
+    snapshot = list(NEW)
+    for c, position in OLD_POSITIONS.items():
+        if c == code or (c > code and draw(st.booleans())):
+            snapshot[position] = OLD[position]
+    fields = {
+        "token_id": "0123456789abcdef",
+        "service_id": "vision",
+        "dataset_fingerprint": DATASET.fingerprint,
+        "created_at": T0,
+        "rules": refs.FIXTURE_RULES,
+        "snapshot": tuple(snapshot),
+    }
+    changes = [c for c in ROBUSTNESS_CHANGES if c == code or (c > code and draw(st.booleans()))]
+    for c in changes:
+        fields = ROBUSTNESS_CHANGES[c](fields)
+    requested = BehaviourToken(**fields, success=all(r.success for r in fields["snapshot"]))
+    return code, requested, current
+
+
+@given(stale_cases())
+def test_cached_and_uncached_412_bodies_are_byte_identical(case):
+    code, requested, current = case
+    with tempfile.TemporaryDirectory() as storage:
+        engine = make_engine(storage)
+        if requested is None:
+            expected = encode_json(validate(current, None, DATASET).to_wire())
+            token_ref = ("etag", current.token_id)
+        else:
+            install(engine, *{requested.token_id: requested, current.token_id: current}.values())
+            expected = encode_json(validate(requested, current, DATASET).to_wire())
+            token_ref = ("etag", requested.token_id)
+        first = engine.annotate(URL, None, token_ref)
+        second = engine.annotate(URL, None, token_ref)
+    assert first[0] == second[0] == 412
+    assert as_body(first[2]) == as_body(second[2]) == expected
+    assert json.loads(expected)["error_code"] == code
+
+
+class TestCounting:
+    def test_current_token_code_3_counts_on_every_hit(self, tmp_path):
+        engine = make_engine(tmp_path, z=2)
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, [failed(NEW[0]), *NEW[1:]], T1)
+        install(engine, current)
+        fired = []
+        engine.on_violation_threshold = lambda: fired.append(True)
+        for _ in range(2):
+            status, _, body = engine.annotate(URL, None, ("etag", current.token_id))
+            assert (status, json.loads(body)["error_code"]) == (412, 3)
+        assert engine.violations_since_run() == 2 and fired == [True]
+
+    def test_predecessor_412_does_not_count_on_a_hit(self, tmp_path):
+        engine = make_engine(tmp_path, z=1)
+        predecessor = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
+        install(engine, predecessor, mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1))
+        fired = []
+        engine.on_violation_threshold = lambda: fired.append(True)
+        for token_ref in [("etag", predecessor.token_id)] * 2 + [("date", T0)]:
+            assert engine.annotate(URL, None, token_ref)[0] == 412
+        assert engine.violations_since_run() == 0 and fired == []
+
+    def test_rotation_serves_no_verdict_of_the_old_current_token(self, tmp_path):
+        engine = make_engine(tmp_path)
+        old = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
+        install(engine, old)
+        assert engine.annotate(URL, None, ("etag", old.token_id))[0] == 200
+        new = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        engine.store.store(new)
+        status, _, body = engine.annotate(URL, None, ("etag", old.token_id))
+        assert status == 412
+        assert body == encode_json(validate(old, new, DATASET).to_wire())
+        assert engine.annotate(URL, None, ("etag", new.token_id))[0] == 200
+        assert engine.violations_since_run() == 0
+
+
+class TestStorageFiles:
+    def test_token_and_dataset_files_are_canonical_json(self, tmp_path):
+        engine = make_engine(tmp_path)
+        token = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        engine._save_dataset(DATASET)
+        path = engine.store.store(token)
+        assert path.read_text(encoding="utf-8") == canonical_json(token.to_dict()) + "\n"
+        dataset_text = (tmp_path / DATASET_FILE).read_text(encoding="utf-8")
+        assert dataset_text == canonical_json(DATASET.to_dict()) + "\n"
+
+    def test_indented_storage_directory_still_loads(self, tmp_path):
+        # token files and dataset.json as earlier versions wrote them
+        old = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        indented = lambda obj: json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        for token in (old, current):
+            name = f"{int(token.created_at.timestamp())}-{token.token_id}.token"
+            (tmp_path / name).write_text(indented(token.to_dict()), encoding="utf-8")
+        (tmp_path / DATASET_FILE).write_text(indented(DATASET.to_dict()), encoding="utf-8")
+        engine = make_engine(tmp_path)
+        assert engine.initialized
+        assert engine.dataset == DATASET
+        assert [t.token_id for t in engine.store.history()] == [old.token_id, current.token_id]
+        assert engine.store.current == current
+        assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 200
+        assert engine.annotate(URL, None, ("etag", old.token_id))[0] == 412

@@ -1,6 +1,8 @@
 import json
 import socket
 import threading
+import time
+from http.client import HTTPConnection, HTTPException
 
 import pytest
 
@@ -82,3 +84,36 @@ class TestPostJson:
     def test_unusable_url_is_oserror(self, url):
         with pytest.raises(OSError):
             post_json(url, {}, 1)
+
+
+class TestServer:
+    def test_keep_alive_round_trips_do_not_wait_for_delayed_acks(self):
+        # Headers and body written separately wait out the client's delayed
+        # ACK (about 40 ms) on every request of a kept-alive connection.
+        with Recorder() as server:
+            connection = HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                start = time.perf_counter()
+                for _ in range(20):
+                    connection.request("POST", "/x", b"{}", {"Content-Type": "application/json"})
+                    reply = connection.getresponse()
+                    assert (reply.status, json.loads(reply.read())) == (201, {"ok": True})
+                elapsed = time.perf_counter() - start
+            finally:
+                connection.close()
+        assert elapsed < 20 * 0.02
+
+    def test_stop_ends_kept_alive_connections(self):
+        server = Recorder().start()
+        connection = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            connection.request("POST", "/x", b"{}")
+            assert connection.getresponse().read()
+            server.stop()
+            with pytest.raises((OSError, HTTPException)):
+                connection.request("POST", "/x", b"{}")
+                connection.getresponse().read()
+        finally:
+            connection.close()
+            server.stop()
+        assert len(server.seen) == 1

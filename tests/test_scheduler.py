@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 from datetime import datetime, timezone
@@ -168,8 +169,6 @@ class TestRunDetection:
         engine.run_detection(TRIGGER_INTERVAL)
         lines = (engine.storage / "detections.log").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
-        import json
-
         records = [json.loads(line) for line in lines]
         assert records[0]["outcome"] == OUTCOME_NO_CHANGE
         assert records[0]["trigger"] == TRIGGER_MANUAL
@@ -233,7 +232,7 @@ class TestRunDetection:
         status, _, body = engine.annotate(
             "http://images.test/a.jpg", None, ("etag", current.token_id)
         )
-        assert (status, body["error_code"]) == (412, 3)
+        assert (status, json.loads(body)["error_code"]) == (412, 3)
         assert fired == [True]
 
 

@@ -1,3 +1,9 @@
+import json
+import socket
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from driftguard.simulator import SimulatorServer, parse_script, wire_body
@@ -5,7 +11,7 @@ from driftguard.types import BenchmarkDataset, BenchmarkItem, ThresholdRules
 from driftguard.upstream import UpstreamClient
 from driftguard.wire import AnnotateRequest
 
-from netutil import ScriptedUpstream, free_port
+from netutil import ScriptedUpstream, free_port, http_reply, read_request
 
 SCRIPT = parse_script(
     "[epoch 0]\n"
@@ -86,6 +92,105 @@ class TestAnnotate:
             client = fast_client(upstream.endpoint)
             response = client.annotate(AnnotateRequest("http://x", 5))
         assert not response.success
+
+
+class TestKeptAlive:
+    """The client reuses an idle connection, reopens it once when the
+    server has closed it, and never resends after a timeout."""
+
+    REPLY = http_reply(200, json.dumps(wire_body({"x": 0.9}, seed=0)).encode())
+
+    def serve(self, listener, script):
+        """Run `script(accept)` on a thread, where accept() returns the next
+        connection as a list of the request bodies read on it."""
+        connections = []
+
+        def accept():
+            conn, _ = listener.accept()
+            connections.append([])
+            return conn, connections[-1]
+
+        thread = threading.Thread(target=script, args=(accept,), daemon=True)
+        thread.start()
+        return thread, connections
+
+    def test_closed_idle_connection_is_reopened_once(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        closed = threading.Event()
+
+        def script(accept):
+            for requests_before_close in (1, 2):
+                conn, seen = accept()
+                with conn:
+                    for _ in range(requests_before_close):
+                        seen.append(read_request(conn))
+                        conn.sendall(self.REPLY)
+                closed.set()
+
+        thread, connections = self.serve(listener, script)
+        client = fast_client(f"http://127.0.0.1:{listener.getsockname()[1]}/annotate")
+        try:
+            assert client.annotate(AnnotateRequest("http://x", 5)).success
+            assert closed.wait(5)
+            for url in ("http://y", "http://z"):
+                assert client.annotate(AnnotateRequest(url, 5)).success
+            thread.join(5)
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+        finally:
+            listener.close()
+        assert not thread.is_alive()
+        assert [len(seen) for seen in connections] == [1, 2]
+
+    def test_timed_out_call_is_not_resent(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        release = threading.Event()
+
+        def script(accept):
+            conn, seen = accept()
+            with conn:
+                seen.append(read_request(conn))
+                conn.sendall(self.REPLY)
+                seen.append(read_request(conn))
+                release.wait(5)
+
+        thread, connections = self.serve(listener, script)
+        client = fast_client(f"http://127.0.0.1:{listener.getsockname()[1]}/annotate", timeout=0.3)
+        try:
+            assert client.annotate(AnnotateRequest("http://x", 5)).success
+            assert not client.annotate(AnnotateRequest("http://y", 5)).success
+            listener.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+        finally:
+            release.set()
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+        assert [len(seen) for seen in connections] == [2]
+
+    def test_threads_sharing_the_pool_each_get_their_own_reply(self):
+        # Two calls on one connection at once would cross their replies.
+        body_fn = lambda url, n: wire_body({url.rsplit("/", 1)[1]: 0.9}, seed=0)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ScriptedUpstream(body_fn) as upstream:
+                client = fast_client(upstream.endpoint, concurrency=2)
+
+                def calls(worker):
+                    for k in range(25):
+                        label = f"w{worker}k{k}"
+                        response = client.annotate(AnnotateRequest(f"http://images.test/{label}", 5))
+                        assert [a.label for a in response.annotations] == [label]
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    for future in [pool.submit(calls, w) for w in range(8)]:
+                        future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(upstream.calls) == 200
 
 
 class TestSnapshot:
