@@ -5,9 +5,14 @@ Subcommands: init (register a benchmark and mint the first token), serve
 (diff two captured corpora offline), tune (sweep thresholds over a corpus
 pair), simulate (run the deterministic mock upstream).
 
-Exit codes: 0 success, 2 invalid input (manifest, rules, script, corpus),
-3 upstream or proxy unreachable / detection aborted, 4 address in use,
-5 proxy not initialised.
+Exit codes: 0 success, 2 invalid input (manifest, rules, script, corpus,
+or an unusable storage path or input file), 3 upstream or proxy
+unreachable / detection aborted, 4 address in use, 5 proxy not
+initialised. init, replay and tune report a bad manifest one
+`path:lineno: message` line per bad line.
+
+Commands raise; main() maps each failure class to its exit code. Only the
+failures whose meaning depends on where they happen are handled in place.
 """
 
 from __future__ import annotations
@@ -21,25 +26,17 @@ import sys
 import threading
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    ManifestError,
-    load_config,
-    load_rules_file,
-    parse_manifest,
-    resolve_config_path,
-)
+from .config import ManifestError, load_config, load_rules_file, parse_manifest, resolve_config_path
 from .corpus import load_corpus_pair
 from .diffing import evaluate_epochs
 from .engine import GuardEngine, UpstreamUnreachable
 from .httpbase import post_json
 from .proxy import ProxyServer
-from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED
-from .simulator import ScriptError, SimulatorServer, parse_script
-from .token import etag_of
+from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, Scheduler
+from .simulator import SimulatorServer, parse_script
+from .token import validators
 from .tuner import tune_thresholds
-from .types import ContractError, pretty_json
-from .wire import WireFormatError
+from .types import pretty_json
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -73,50 +70,50 @@ def _json_object(raw: bytes) -> dict:
 
 
 def _load_config_arg(args):
-    path = resolve_config_path(args.config)
-    return load_config(path)
+    return load_config(resolve_config_path(args.config))
 
 
-def _wait_for_interrupt():
-    stop = threading.Event()
-
-    def handler(signum, frame):
-        stop.set()
-
-    previous = {
-        signal.SIGINT: signal.signal(signal.SIGINT, handler),
-        signal.SIGTERM: signal.signal(signal.SIGTERM, handler),
-    }
+def _serve(bind, in_use: str, banner, *companions) -> int:
+    """Bind, start the server and then its companions, print `banner` and
+    run until SIGINT or SIGTERM; the companions stop before the server."""
     try:
+        server = bind()
+    except OSError as exc:
+        return _fail(in_use if exc.errno == errno.EADDRINUSE else str(exc), EXIT_ADDRESS_IN_USE)
+    stop = threading.Event()
+    previous = {
+        signum: signal.signal(signum, lambda *_: stop.set())
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    parts = (server, *companions)
+    for part in parts:
+        part.start()
+    try:
+        print(banner(server), flush=True)
         stop.wait()
     finally:
-        for signum, old in previous.items():
-            signal.signal(signum, old)
+        for part in reversed(parts):
+            part.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+    return EXIT_OK
 
 
 # ------------------------------------------------------------------ commands
 
 
 def cmd_init(args) -> int:
-    try:
-        config = _load_config_arg(args)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
-    try:
-        items = parse_manifest(args.manifest)
-    except ManifestError as exc:
-        for lineno, message in exc.errors:
-            print(f"{exc.path}:{lineno}: {message}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
-
+    config = _load_config_arg(args)
+    items = parse_manifest(args.manifest)
     body = {"items": [item.to_dict() for item in items], "rules": config.rules.to_dict()}
     try:
         status, headers, raw = post_json(f"{_client_base_url(config)}/benchmark", body, 300)
+        reply = _json_object(raw)
     except OSError:
-        return _init_embedded(config, items)
-    reply = _json_object(raw)
+        # No proxy is listening; bootstrap directly against the storage path
+        # so a later `serve` picks the token up.
+        token = GuardEngine(config).initialize_benchmark(items, config.rules)
+        status, headers, reply = 201, validators(token), token.metadata()
     if status == 201 and "token_id" in reply:
         print(f"token_id: {reply['token_id']}")
         print(f"etag: {headers.get('ETag', '')}")
@@ -127,52 +124,19 @@ def cmd_init(args) -> int:
                  EXIT_INVALID_INPUT)
 
 
-def _init_embedded(config, items) -> int:
-    # No proxy is listening; bootstrap directly against the storage path so
-    # a later `serve` picks the token up.
-    engine = GuardEngine(config)
-    try:
-        token = engine.initialize_benchmark(items, config.rules)
-    except ContractError as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
-    except UpstreamUnreachable as exc:
-        return _fail(str(exc), EXIT_UNREACHABLE)
-    print(f"token_id: {token.token_id}")
-    print(f"etag: {etag_of(token)}")
-    return EXIT_OK
-
-
 def cmd_serve(args) -> int:
-    try:
-        config = _load_config_arg(args)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
+    config = _load_config_arg(args)
     engine = GuardEngine(config)
-    try:
-        server = ProxyServer(config, engine=engine)
-    except OSError as exc:
-        if exc.errno == errno.EADDRINUSE:
-            return _fail(f"address {config.listen} is already in use", EXIT_ADDRESS_IN_USE)
-        return _fail(str(exc), EXIT_ADDRESS_IN_USE)
-    from .scheduler import Scheduler
-
-    scheduler = Scheduler(engine, config.schedule_interval_secs)
-    server.start()
-    scheduler.start()
-    print(f"listening on {server.base_url}", flush=True)
-    try:
-        _wait_for_interrupt()
-    finally:
-        scheduler.stop()
-        server.stop()
-    return EXIT_OK
+    return _serve(
+        lambda: ProxyServer(config, engine=engine),
+        f"address {config.listen} is already in use",
+        lambda server: f"listening on {server.base_url}",
+        Scheduler(engine, config.schedule_interval_secs),
+    )
 
 
 def cmd_tick(args) -> int:
-    try:
-        config = _load_config_arg(args)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
+    config = _load_config_arg(args)
     try:
         status, _, raw = post_json(f"{_client_base_url(config)}/admin/detect", None, 300)
     except OSError as exc:
@@ -181,12 +145,11 @@ def cmd_tick(args) -> int:
         return _fail("proxy has no benchmark yet", EXIT_NOT_INITIALIZED)
     payload = _json_object(raw)
     outcome = payload.get("outcome")
-    if status != 202 or outcome not in (OUTCOME_NO_CHANGE, OUTCOME_ROTATED):
+    ids = (payload.get("old_token_id"), payload.get("new_token_id"))
+    rotated = outcome == OUTCOME_ROTATED and all(isinstance(i, str) for i in ids)
+    if status != 202 or not (rotated or outcome == OUTCOME_NO_CHANGE):
         return _fail(f"detection aborted: {payload.get('reason', status)}", EXIT_UNREACHABLE)
-    if outcome == OUTCOME_ROTATED:
-        print(f"token_rotated: {payload['old_token_id']} -> {payload['new_token_id']}")
-    else:
-        print("no_change")
+    print(f"token_rotated: {ids[0]} -> {ids[1]}" if rotated else "no_change")
     return EXIT_OK
 
 
@@ -198,14 +161,8 @@ def _load_pair(args):
 
 
 def cmd_replay(args) -> int:
-    try:
-        rules = load_rules_file(args.rules)
-    except (ConfigError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
-    try:
-        dataset, old_snapshot, new_snapshot = _load_pair(args)
-    except (ContractError, ManifestError, WireFormatError, OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
+    rules = load_rules_file(args.rules)
+    dataset, old_snapshot, new_snapshot = _load_pair(args)
     report = evaluate_epochs(old_snapshot, new_snapshot, dataset, rules)
     document = report.to_dict()
     document["violations"] = [
@@ -227,42 +184,22 @@ def cmd_tune(args) -> int:
         confidence_grid = [float(v) for v in args.confs.split(",") if v.strip()]
     except ValueError as exc:
         return _fail(f"bad grid: {exc}", EXIT_INVALID_INPUT)
-    rules = None
-    if args.rules:
-        try:
-            rules = load_rules_file(args.rules)
-        except (ConfigError, OSError) as exc:
-            return _fail(str(exc), EXIT_INVALID_INPUT)
-    try:
-        dataset, old_snapshot, new_snapshot = _load_pair(args)
-        matrix = tune_thresholds(
-            old_snapshot, new_snapshot, dataset, label_grid, confidence_grid, base_rules=rules
-        )
-    except (ContractError, ManifestError, WireFormatError, OSError, ValueError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
+    rules = load_rules_file(args.rules) if args.rules else None
+    dataset, old_snapshot, new_snapshot = _load_pair(args)
+    matrix = tune_thresholds(
+        old_snapshot, new_snapshot, dataset, label_grid, confidence_grid, base_rules=rules
+    )
     print(matrix.to_tsv(pretty=args.pretty))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        text = Path(args.script).read_text(encoding="utf-8")
-        script = parse_script(text, seed=args.seed)
-    except (ScriptError, ContractError, OSError) as exc:
-        return _fail(str(exc), EXIT_INVALID_INPUT)
-    try:
-        server = SimulatorServer(script, host=args.host, port=args.port)
-    except OSError as exc:
-        if exc.errno == errno.EADDRINUSE:
-            return _fail(f"port {args.port} is already in use", EXIT_ADDRESS_IN_USE)
-        return _fail(str(exc), EXIT_ADDRESS_IN_USE)
-    server.start()
-    print(f"simulator listening on {server.endpoint} (seed {script.seed})", flush=True)
-    try:
-        _wait_for_interrupt()
-    finally:
-        server.stop()
-    return EXIT_OK
+    script = parse_script(Path(args.script).read_text(encoding="utf-8"), seed=args.seed)
+    return _serve(
+        lambda: SimulatorServer(script, host=args.host, port=args.port),
+        f"port {args.port} is already in use",
+        lambda server: f"simulator listening on {server.endpoint} (seed {script.seed})",
+    )
 
 
 # ------------------------------------------------------------------- parsing
@@ -320,7 +257,18 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(asctime)s %(name)s %(levelname)s %(message)s"
     )
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ManifestError as exc:
+        for lineno, message in exc.errors:
+            print(f"{exc.path}:{lineno}: {message}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except (ValueError, OSError) as exc:
+        # every parse error subclasses ValueError; OSError is an unreadable
+        # input file or an unusable storage path
+        return _fail(str(exc), EXIT_INVALID_INPUT)
+    except UpstreamUnreachable as exc:
+        return _fail(str(exc), EXIT_UNREACHABLE)
 
 
 def entrypoint():

@@ -26,11 +26,11 @@ from .scheduler import (
 )
 from .token import (
     TokenStore,
-    etag_of,
     mint_token,
     no_key_error,
     unknown_token_error,
     validate,
+    validators,
 )
 from .types import (
     CATEGORY_FOR_CODE,
@@ -39,7 +39,7 @@ from .types import (
     BenchmarkDataset,
     LabelledResponse,
     canonical_json,
-    http_date,
+    dataset_fingerprint,
     iso_ts,
     utc_now_second,
 )
@@ -81,7 +81,6 @@ class GuardEngine:
     def __init__(self, config, client: UpstreamClient | None = None, now_fn=utc_now_second):
         self.config = config
         self.storage = Path(config.storage_path)
-        self.storage.mkdir(parents=True, exist_ok=True)
         self.store = TokenStore(self.storage)
         self.client = client or UpstreamClient(config.upstream_url)
         self._now = now_fn
@@ -113,10 +112,6 @@ class GuardEngine:
             return None
         return current, dataset
 
-    def token_metadata(self) -> dict | None:
-        current = self.store.current
-        return current.metadata() if current else None
-
     def violations_since_run(self) -> int:
         with self._counter_lock:
             return self._violations_since_run
@@ -141,7 +136,7 @@ class GuardEngine:
                 handle.write(canonical_json(record) + "\n")
 
     def _audit(self, record: dict):
-        self._append_line(AUDIT_FILE, {"ts": iso_ts(utc_now_second()), **record})
+        self._append_line(AUDIT_FILE, {"ts": iso_ts(self._now()), **record})
 
     def _post_callback(self, payload: dict):
         url = self.config.warning_callback_url
@@ -162,8 +157,7 @@ class GuardEngine:
         UpstreamUnreachable when no item could be snapshotted at all."""
         items = tuple(items)
         dataset = BenchmarkDataset.create(
-            dataset_id or "ds-" + BenchmarkDataset.create("tmp", items).fingerprint[:12],
-            items,
+            dataset_id or "ds-" + dataset_fingerprint(items)[:12], items
         )
         snapshot = self.client.snapshot_benchmark(dataset, rules)
         if not any(r.success for r in snapshot):
@@ -251,11 +245,7 @@ class GuardEngine:
                 "labels": len(filtered.annotations),
             }
         )
-        headers = {
-            "ETag": etag_of(current),
-            "Last-Modified": http_date(current.created_at),
-        }
-        return 200, headers, serialize_wire(filtered)
+        return 200, validators(current), serialize_wire(filtered)
 
     def annotate(self, url: str, max_results: int | None, token_ref):
         """Serve one guarded annotation request.
@@ -311,9 +301,10 @@ class GuardEngine:
             finally:
                 with self._counter_lock:
                     self._violations_since_run = 0
-        self._append_line(DETECTIONS_FILE, run.to_dict())
+        record = run.to_dict()
+        self._append_line(DETECTIONS_FILE, record)
         if run.outcome == OUTCOME_ROTATED:
-            self._post_callback({"kind": "detection", "run": run.to_dict()})
+            self._post_callback({"kind": "detection", "run": record})
         return run
 
     def _detect(self):

@@ -16,15 +16,8 @@ from __future__ import annotations
 from .engine import GuardEngine, UpstreamUnreachable
 from .httpbase import JsonHttpServer
 from .scheduler import OUTCOME_ABORTED
-from .token import ETagParseError, etag_of, parse_etag
-from .types import (
-    BenchmarkItem,
-    ContractError,
-    ThresholdRules,
-    http_date,
-    parse_http_date,
-    parse_iso_ts,
-)
+from .token import ETagParseError, parse_etag, validators
+from .types import BenchmarkItem, ContractError, ThresholdRules, parse_http_date
 
 
 class ProxyServer(JsonHttpServer):
@@ -67,11 +60,7 @@ class ProxyServer(JsonHttpServer):
             return 400, {}, {"error": f"invalid manifest: {exc}"}
         except UpstreamUnreachable as exc:
             return 502, {}, {"error": str(exc)}
-        headers = {
-            "ETag": etag_of(token),
-            "Last-Modified": http_date(token.created_at),
-        }
-        return 201, headers, token.metadata()
+        return 201, validators(token), token.metadata()
 
     def _parse_precondition(self, headers):
         """Returns (token_ref, error_response). Exactly one conditional
@@ -114,14 +103,10 @@ class ProxyServer(JsonHttpServer):
         return self.engine.annotate(body["url"], max_results, token_ref)
 
     def _get_token(self):
-        metadata = self.engine.token_metadata()
-        if metadata is None:
+        current = self.engine.store.current
+        if current is None:
             return 404, {}, {"error": "no behaviour token minted yet"}
-        headers = {
-            "ETag": etag_of(metadata["token_id"]),
-            "Last-Modified": http_date(parse_iso_ts(metadata["created_at"])),
-        }
-        return 200, headers, metadata
+        return 200, validators(current), current.metadata()
 
     def _post_detect(self):
         if not self.engine.initialized:

@@ -26,6 +26,7 @@ from .types import (
     LabelledResponse,
     ThresholdRules,
     canonical_json,
+    http_date,
     iso_ts,
     parse_iso_ts,
     sha256_hex,
@@ -173,6 +174,11 @@ def mint_token(
 def etag_of(token) -> str:
     token_id = token if isinstance(token, str) else token.token_id
     return f'W/"{token_id}"'
+
+
+def validators(token: BehaviourToken) -> dict:
+    """The ETag and Last-Modified response headers naming `token`."""
+    return {"ETag": etag_of(token), "Last-Modified": http_date(token.created_at)}
 
 
 def parse_etag(header_value: str) -> str:

@@ -259,6 +259,31 @@ class TestTune:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["replay", "tune"])
+def test_bad_manifest_is_exit_2_line_by_line(reference_dirs, capsys, command):
+    manifest = reference_dirs / "bad.tsv"
+    manifest.write_text(
+        f"{refs.CAR_URI}\n{refs.SHEEP_URI}\tAnimal\t\n{refs.SHEEP_URI}\tAnimal\n",
+        encoding="utf-8",
+    )
+    grids = ["--labels", "1", "--confs", "0.01"] if command == "tune" else []
+    code = main(
+        [
+            command,
+            "--old", str(reference_dirs / "old"),
+            "--new", str(reference_dirs / "new"),
+            "--rules", str(reference_dirs / "rules.conf"),
+            "--manifest", str(manifest),
+            *grids,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{manifest}:1: expected 2 or 3 tab-separated fields, got 1",
+        f"{manifest}:3: duplicate image_ref (first seen on line 2)",
+    ]
+
+
 class TestInit:
     def test_embedded_bootstrap_prints_token_and_etag(self, reference_dirs, tmp_path, capsys):
         with SimulatorServer(parse_script(DRIFT_SCRIPT, seed=4)) as sim:
@@ -316,6 +341,30 @@ class TestInit:
         assert not thread.is_alive()
         assert code == 2
         assert "proxy rejected the benchmark" in capsys.readouterr().err
+
+    def test_storage_path_naming_a_file_is_exit_2(self, tmp_path, capsys):
+        # nothing listens at `listen`, so init bootstraps against the storage
+        storage = tmp_path / "storage"
+        storage.write_text("not a directory\n", encoding="utf-8")
+        manifest = tmp_path / "mini.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
+        config_path, _ = write_config(
+            tmp_path, "http://127.0.0.1:1/annotate", storage_path=str(storage)
+        )
+        code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("drift-guard: ") and str(storage) in err
+
+    def test_non_utf8_manifest_or_config_is_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "mini.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate")
+        for bad in (manifest, config_path):
+            bad.write_bytes(bad.read_bytes() + b"\xff\n")
+            code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
+            assert code == 2
+            assert "can't decode byte 0xff" in capsys.readouterr().err
 
     def test_config_resolution_via_env(self, tmp_path, capsys, monkeypatch):
         manifest = tmp_path / "dup.tsv"
@@ -378,18 +427,22 @@ class TestServeAndTick:
         assert main(["tick", "--config", str(config_path)]) == 3
 
     def test_non_object_reply_to_tick_is_exit_3(self, tmp_path, capsys):
-        listener = socket.create_server(("127.0.0.1", 0))
-        thread = answer_once(listener, http_reply(202, b"[]"))
-        listen = f"127.0.0.1:{listener.getsockname()[1]}"
-        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
-        try:
-            code = main(["tick", "--config", str(config_path)])
-        finally:
-            thread.join(5)
-            listener.close()
-        assert not thread.is_alive()
-        assert code == 3
-        assert "detection aborted" in capsys.readouterr().err
+        # a rotation without both token ids is no rotation either
+        for body in (b"[]", b'{"outcome": "token_rotated"}'):
+            listener = socket.create_server(("127.0.0.1", 0))
+            thread = answer_once(listener, http_reply(202, body))
+            listen = f"127.0.0.1:{listener.getsockname()[1]}"
+            config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
+            try:
+                code = main(["tick", "--config", str(config_path)])
+            finally:
+                thread.join(5)
+                listener.close()
+            assert not thread.is_alive()
+            assert code == 3, body
+            captured = capsys.readouterr()
+            assert "detection aborted" in captured.err
+            assert captured.out == ""
 
     def test_serve_port_in_use_exit_4(self, tmp_path):
         blocker = socket.socket()
@@ -405,6 +458,18 @@ class TestServeAndTick:
             assert proc.returncode == 4, err
         finally:
             blocker.close()
+
+    def test_storage_path_naming_a_file_is_exit_2(self, tmp_path):
+        storage = tmp_path / "storage"
+        storage.write_text("not a directory\n", encoding="utf-8")
+        config_path, _ = write_config(
+            tmp_path, "http://127.0.0.1:1/annotate", storage_path=str(storage)
+        )
+        proc = spawn(["serve", "--config", str(config_path)])
+        out, err = proc.communicate(timeout=15)
+        assert proc.returncode == 2, err
+        assert err.startswith("drift-guard: ") and str(storage) in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -438,6 +503,17 @@ class TestSimulate:
                 _, err = proc.communicate(timeout=15)
             assert proc.returncode == 0, err
         assert digests[0] == digests[1]
+
+    def test_port_in_use_exit_4(self, tmp_path):
+        script_path = tmp_path / "drift.script"
+        script_path.write_text(DRIFT_SCRIPT, encoding="utf-8")
+        with socket.create_server(("127.0.0.1", 0)) as blocker:
+            port = blocker.getsockname()[1]
+            proc = spawn(["simulate", "--script", str(script_path), "--port", str(port)])
+            out, err = proc.communicate(timeout=15)
+        assert proc.returncode == 4, err
+        assert f"port {port} is already in use" in err
+        assert out == ""
 
     def test_bad_script_exit_2(self, tmp_path):
         script_path = tmp_path / "bad.script"

@@ -13,7 +13,13 @@ from driftguard.config import ProxyConfig
 from driftguard.engine import DATASET_FILE, GuardEngine
 from driftguard.httpbase import encode_json
 from driftguard.token import BehaviourToken, mint_token, validate
-from driftguard.types import BenchmarkDataset, LabelledResponse, canonical_json, utc_now_second
+from driftguard.types import (
+    BenchmarkDataset,
+    LabelledResponse,
+    canonical_json,
+    iso_ts,
+    utc_now_second,
+)
 
 import reference_fixtures as refs
 from gen_strategies import T0, T1
@@ -30,7 +36,7 @@ class CannedUpstream:
         return LabelledResponse(request.url, (), utc_now_second())
 
 
-def make_engine(storage, z=1000):
+def make_engine(storage, z=1000, now_fn=utc_now_second):
     config = ProxyConfig(
         listen="127.0.0.1:0",
         upstream_url="http://127.0.0.1:1/annotate",
@@ -39,7 +45,7 @@ def make_engine(storage, z=1000):
         violation_trigger_z=z,
         rules=refs.FIXTURE_RULES,
     )
-    return GuardEngine(config, client=CannedUpstream())
+    return GuardEngine(config, client=CannedUpstream(), now_fn=now_fn)
 
 
 def install(engine, *tokens):
@@ -192,3 +198,14 @@ class TestStorageFiles:
         assert engine.store.current == current
         assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 200
         assert engine.annotate(URL, None, ("etag", old.token_id))[0] == 412
+
+    def test_audit_records_are_stamped_by_the_engine_clock(self, tmp_path):
+        engine = make_engine(tmp_path, now_fn=lambda: T1)
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 412
+        install(engine, current)
+        assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 200
+        lines = (tmp_path / "audit.log").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["kind"] for r in records] == ["precondition_failed", "annotate"]
+        assert {r["ts"] for r in records} == {iso_ts(T1)}
