@@ -24,7 +24,6 @@ import logging
 import signal
 import sys
 import threading
-from pathlib import Path
 
 from .config import ManifestError, load_config, load_rules_file, parse_manifest, resolve_config_path
 from .corpus import load_corpus_pair
@@ -36,7 +35,7 @@ from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, Scheduler
 from .simulator import SimulatorServer, parse_script
 from .token import validators
 from .tuner import tune_thresholds
-from .types import pretty_json
+from .types import pretty_json, read_utf8
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -109,11 +108,15 @@ def cmd_init(args) -> int:
     try:
         status, headers, raw = post_json(f"{_client_base_url(config)}/benchmark", body, 300)
         reply = _json_object(raw)
-    except OSError:
-        # No proxy is listening; bootstrap directly against the storage path
-        # so a later `serve` picks the token up.
+    except ConnectionRefusedError:
+        # Nothing listens; bootstrap directly against the storage path so a
+        # later `serve` picks the token up.
         token = GuardEngine(config).initialize_benchmark(items, config.rules)
         status, headers, reply = 201, validators(token), token.metadata()
+    except OSError as exc:
+        # Something listens but did not answer: it may be a proxy that owns
+        # the storage path, so never write there alongside it.
+        return _fail(f"proxy unreachable: {exc}", EXIT_UNREACHABLE)
     if status == 201 and "token_id" in reply:
         print(f"token_id: {reply['token_id']}")
         print(f"etag: {headers.get('ETag', '')}")
@@ -194,7 +197,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    script = parse_script(Path(args.script).read_text(encoding="utf-8"), seed=args.seed)
+    script = parse_script(read_utf8(args.script), seed=args.seed)
     return _serve(
         lambda: SimulatorServer(script, host=args.host, port=args.port),
         f"port {args.port} is already in use",

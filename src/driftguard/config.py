@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .types import (
     CHECK_CATEGORIES,
     BenchmarkItem,
     ContractError,
     ThresholdRules,
+    read_utf8,
 )
 
 DEFAULT_CONFIG_PATH = "drift-guard.conf"
@@ -42,7 +42,7 @@ class ManifestError(ValueError):
 def parse_flat(path) -> dict[str, str]:
     """key=value lines; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -164,7 +164,7 @@ def parse_manifest(path) -> list[BenchmarkItem]:
     items: list[BenchmarkItem] = []
     errors: list[tuple[int, str]] = []
     seen: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):

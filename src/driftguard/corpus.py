@@ -11,7 +11,14 @@ import re
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .types import BenchmarkDataset, BenchmarkItem, ContractError, LabelledResponse, sha256_hex
+from .types import (
+    BenchmarkDataset,
+    BenchmarkItem,
+    ContractError,
+    LabelledResponse,
+    read_utf8,
+    sha256_hex,
+)
 from .wire import parse_wire_response, serialize_wire
 
 REPLAY_EPOCH = datetime.fromtimestamp(0, timezone.utc)
@@ -44,7 +51,7 @@ def write_corpus(directory, responses) -> list[Path]:
 
 
 def read_response_file(path, image_ref: str) -> LabelledResponse:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(read_utf8(path))
     return parse_wire_response(payload, image_ref=image_ref, captured_at=REPLAY_EPOCH)
 
 

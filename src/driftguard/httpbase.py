@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 # it is next used, before any reply arrives.
 _CLOSED_BY_PEER = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
+# The largest request body the servers read. A /benchmark manifest of 2000
+# images is about 200 KB; anything declared longer is refused unread.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 def encode_json(payload) -> bytes:
     """The response body the servers send for a JSON payload."""
@@ -92,8 +96,7 @@ class JsonHttpServer:
             def log_message(self, fmt, *args):  # default stderr chatter off
                 log.debug("%s %s", self.address_string(), fmt % args)
 
-            def _read_body(self):
-                length = int(self.headers.get("Content-Length") or 0)
+            def _read_body(self, length: int):
                 raw = self.rfile.read(length) if length else b""
                 if not raw:
                     return None
@@ -115,8 +118,17 @@ class JsonHttpServer:
                     self.wfile.write(body)
 
             def _dispatch(self):
+                declared = self.headers.get("Content-Length") or "0"
+                length = int(declared) if declared.isascii() and declared.isdigit() else -1
+                if not 0 <= length <= MAX_BODY_BYTES:
+                    # refused unread: what follows on the connection is no
+                    # request boundary, so it closes
+                    status = 413 if length > MAX_BODY_BYTES else 400
+                    error = f"Content-Length {declared!r} is not in 0..{MAX_BODY_BYTES}"
+                    self._respond(status, {"Connection": "close"}, {"error": error})
+                    return
                 try:
-                    body = self._read_body()
+                    body = self._read_body(length)
                 except (ValueError, UnicodeDecodeError):
                     self._respond(400, {}, {"error": "request body is not valid JSON"})
                     return

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .types import ContractError
+from .types import ContractError, read_utf8
 
 
 class OntologyChangeKind(str, Enum):
@@ -75,7 +74,7 @@ class OntologyTaxonomy:
     def from_tsv(cls, path) -> "OntologyTaxonomy":
         """Load `child<TAB>parent` lines; blank lines and # comments skipped."""
         pairs = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

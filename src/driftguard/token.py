@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 from .diffing import check_alignment, collect_violations
@@ -336,6 +337,21 @@ def validate(
     return ValidationError.make(primary.error_code, error_data)
 
 
+@dataclass(eq=False)
+class _Entry:
+    """One token file in the history index. `token` is None until the
+    file's body has been read."""
+
+    created_at: datetime
+    token_id: str
+    path: Path
+    token: BehaviourToken | None = None
+
+
+# `<created_at unix seconds>-<token_id>.token`, as path_for writes it
+_FILE_NAME = re.compile(rf"(\d+)-([0-9a-f]{{{TOKEN_ID_LENGTH}}})\.token")
+
+
 class TokenStore:
     """Append-only token history persisted one file per token.
 
@@ -344,26 +360,84 @@ class TokenStore:
     token is the current one; replacing it is atomic with respect to
     readers. Reload order for same-second mints falls back to file mtime,
     which matches write order.
+
+    A reload indexes the history from the file names and reads only the
+    current token's body; a predecessor's body is read on first use, once.
+    A body that cannot be parsed, or that disagrees with its file name, is
+    skipped with a warning and the token reads as absent from then on.
     """
 
     def __init__(self, directory):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._history: list[BehaviourToken] = []
+        self._history: list[_Entry] = []
+        self._by_id: dict[str, _Entry] = {}
         self._load()
 
     def _load(self):
-        entries = []
+        keyed = []
         for path in self._dir.glob("*.token"):
-            try:
-                token = BehaviourToken.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            except (ValueError, KeyError) as exc:
-                log.warning("skipping unreadable token file %s: %s", path, exc)
-                continue
-            entries.append((token.created_at, path.stat().st_mtime_ns, path.name, token))
-        entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        self._history = [token for *_, token in entries]
+            match = _FILE_NAME.fullmatch(path.name)
+            if match:
+                created_at = datetime.fromtimestamp(int(match[1]), timezone.utc)
+                entry = _Entry(created_at, match[2], path)
+            else:
+                # a name that says nothing: read the body now, as it sorts by it
+                token = self._read(path)
+                if token is None:
+                    continue
+                entry = _Entry(token.created_at, token.token_id, path, token)
+            keyed.append(((entry.created_at, path.stat().st_mtime_ns, path.name), entry))
+        keyed.sort(key=lambda pair: pair[0])
+        # one entry per id: a copy under another name loses to the newer one
+        last = {entry.token_id: entry for _, entry in keyed}
+        history = [entry for _, entry in keyed if last[entry.token_id] is entry]
+        # the newest readable file is the current token
+        while history and history[-1].token is None:
+            newest = history[-1]
+            newest.token = self._read(newest.path, newest)
+            if newest.token is None:
+                history.pop()
+        self._set_history(history)
+
+    def _set_history(self, history: list[_Entry]):
+        self._history = history
+        self._by_id = {entry.token_id: entry for entry in history}
+
+    @staticmethod
+    def _read(path: Path, entry: _Entry | None = None) -> BehaviourToken | None:
+        """The token in `path`, or None (with a warning) when the body does
+        not parse or disagrees with the file name `entry` was indexed by."""
+        try:
+            token = BehaviourToken.from_dict(json.loads(path.read_text(encoding="utf-8")))
+            if entry is not None and (
+                token.token_id != entry.token_id or token.created_at != entry.created_at
+            ):
+                raise ValueError(
+                    f"holds token {token.token_id} created {iso_ts(token.created_at)}"
+                )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            log.warning("skipping unreadable token file %s: %s", path, exc)
+            return None
+        return token
+
+    def _token(self, entry: _Entry) -> BehaviourToken | None:
+        """The entry's token, read on first use under the lock; None when it
+        cannot be read, in which case the entry leaves the index."""
+        token = entry.token
+        if token is not None:
+            return token
+        with self._lock:
+            live = self._by_id.get(entry.token_id)
+            if live is not entry:
+                # dropped by an earlier reader, or stored again since
+                return None if live is None else live.token
+            if entry.token is None:  # no other reader got here first
+                entry.token = self._read(entry.path, entry)
+                if entry.token is None:
+                    self._set_history([e for e in self._history if e is not entry])
+            return entry.token
 
     def path_for(self, token: BehaviourToken) -> Path:
         unix = int(token.created_at.timestamp())
@@ -374,25 +448,24 @@ class TokenStore:
         with self._lock:
             path = self.path_for(token)
             path.write_text(payload, encoding="utf-8")
-            # single reference assignment so readers never see a torn history
-            history = [t for t in self._history if t.token_id != token.token_id]
-            history.append(token)
-            self._history = history
+            history = [e for e in self._history if e.token_id != token.token_id]
+            history.append(_Entry(token.created_at, token.token_id, path, token))
+            self._set_history(history)
         return path
 
     @property
     def current(self) -> BehaviourToken | None:
         history = self._history
-        return history[-1] if history else None
+        return history[-1].token if history else None
 
     def history(self) -> list[BehaviourToken]:
-        return list(self._history)
+        """Every readable token, oldest first; reads each body not read yet."""
+        tokens = (self._token(entry) for entry in self._history)
+        return [token for token in tokens if token is not None]
 
     def find(self, token_id: str) -> BehaviourToken | None:
-        for token in reversed(self._history):
-            if token.token_id == token_id:
-                return token
-        return None
+        entry = self._by_id.get(token_id)
+        return None if entry is None else self._token(entry)
 
     def newest_at_or_before(
         self, moment: datetime, upto: BehaviourToken | None = None
@@ -400,17 +473,22 @@ class TokenStore:
         """The oldest token of the newest second at or before `moment` that
         holds one: a one-second date cannot tell same-second mints apart,
         and the oldest fails closed. Tokens stored after `upto` (the
-        current token a request read on entry) are out of reach."""
-        history = self._history
-        position = len(history) - 1
-        if upto is not None:
-            while position >= 0 and history[position].token_id != upto.token_id:
+        current token a request read on entry) are out of reach. A token
+        whose file turns out unreadable is skipped as if it had never been
+        stored."""
+        while True:
+            history = self._history
+            position = len(history) - 1
+            if upto is not None:
+                while position >= 0 and history[position].token_id != upto.token_id:
+                    position -= 1
+            while position >= 0 and history[position].created_at > moment:
                 position -= 1
-        while position >= 0 and history[position].created_at > moment:
-            position -= 1
-        if position < 0:
-            return None
-        second = history[position].created_at
-        while position > 0 and history[position - 1].created_at == second:
-            position -= 1
-        return history[position]
+            if position < 0:
+                return None
+            second = history[position].created_at
+            while position > 0 and history[position - 1].created_at == second:
+                position -= 1
+            token = self._token(history[position])
+            if token is not None:
+                return token

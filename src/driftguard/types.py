@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from email.utils import format_datetime, parsedate_to_datetime
+from pathlib import Path
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -70,6 +71,15 @@ def pretty_json(obj) -> str:
 
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 input file; a file that does not decode raises a
+    ValueError that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def utc_now_second() -> datetime:

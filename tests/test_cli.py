@@ -1,6 +1,7 @@
 import json
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -259,6 +260,24 @@ class TestTune:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["replay", "simulate"])
+def test_non_utf8_input_file_is_named(reference_dirs, capsys, command):
+    bad = reference_dirs / "bad.conf"
+    bad.write_bytes(RULES_TEXT.encode("utf-8") + b"\xff\n")
+    if command == "replay":
+        old, new = str(reference_dirs / "old"), str(reference_dirs / "new")
+        argv = ["replay", "--old", old, "--new", new, "--rules", str(bad)]
+    else:
+        argv = ["simulate", "--script", str(bad), "--port", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"drift-guard: {bad}: 'utf-8' codec can't decode byte 0xff in position "
+        f"{len(RULES_TEXT)}: invalid start byte\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["replay", "tune"])
 def test_bad_manifest_is_exit_2_line_by_line(reference_dirs, capsys, command):
     manifest = reference_dirs / "bad.tsv"
@@ -341,6 +360,36 @@ class TestInit:
         assert not thread.is_alive()
         assert code == 2
         assert "proxy rejected the benchmark" in capsys.readouterr().err
+
+    def test_listener_that_resets_is_exit_3_and_writes_nothing(self, tmp_path, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reset():
+            conn, _ = listener.accept()
+            read_request(conn)
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+
+        thread = threading.Thread(target=reset, daemon=True)
+        thread.start()
+        storage = tmp_path / "storage"
+        storage.mkdir()
+        manifest = tmp_path / "mini.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
+        listen = f"127.0.0.1:{listener.getsockname()[1]}"
+        with SimulatorServer(parse_script(DRIFT_SCRIPT, seed=4)) as sim:
+            config_path, _ = write_config(tmp_path, sim.endpoint, listen=listen)
+            try:
+                code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
+            finally:
+                thread.join(5)
+                listener.close()
+        assert not thread.is_alive()
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("drift-guard: proxy unreachable: ")
+        assert captured.out == ""
+        assert list(storage.iterdir()) == []
 
     def test_storage_path_naming_a_file_is_exit_2(self, tmp_path, capsys):
         # nothing listens at `listen`, so init bootstraps against the storage

@@ -3,10 +3,13 @@
 changes nothing a client or the z counter can see) and the storage files."""
 
 import json
+import logging
 import tempfile
 from dataclasses import replace
+from datetime import timedelta
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from driftguard.config import ProxyConfig
@@ -170,6 +173,45 @@ class TestCounting:
         assert body == encode_json(validate(old, new, DATASET).to_wire())
         assert engine.annotate(URL, None, ("etag", new.token_id))[0] == 200
         assert engine.violations_since_run() == 0
+
+
+class TestRestart:
+    """A restarted engine reads predecessor tokens on first use; a client
+    cannot tell that from the engine that minted them."""
+
+    def history(self, storage):
+        engine = make_engine(storage)
+        engine._save_dataset(DATASET)
+        old = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        install(engine, old, current)
+        return engine, old, current
+
+    def test_predecessor_412_bodies_are_byte_identical_after_restart(self, tmp_path):
+        engine, old, _ = self.history(tmp_path)
+        token_refs = [("etag", old.token_id), ("date", T0), ("date", T0 + timedelta(hours=1))]
+        before = [engine.annotate(URL, None, token_ref) for token_ref in token_refs]
+        restarted = make_engine(tmp_path)
+        after = [restarted.annotate(URL, None, token_ref) for token_ref in token_refs]
+        assert [status for status, _, _ in before + after] == [412] * 6
+        assert [as_body(body) for *_, body in after] == [as_body(body) for *_, body in before]
+        assert json.loads(as_body(after[0][2]))["error_code"] == 7
+
+    @pytest.mark.parametrize("damage", ["corrupt", "rename"])
+    def test_predecessor_damaged_after_restart_is_code_2(self, tmp_path, caplog, damage):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        _, old, _ = self.history(tmp_path)
+        restarted = make_engine(tmp_path)
+        path = restarted.store.path_for(old)
+        if damage == "corrupt":
+            path.write_bytes(path.read_bytes()[:-40])
+        else:
+            path.rename(path.with_name(f"{int(T0.timestamp())}-{'f' * 16}.token"))
+        for token_ref in [("etag", old.token_id), ("date", T0)] * 2:
+            status, _, body = restarted.annotate(URL, None, token_ref)
+            assert (status, json.loads(as_body(body))["error_code"]) == (412, 2)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
+        assert len(warnings) == 1 and str(path) in warnings[0]
 
 
 class TestStorageFiles:

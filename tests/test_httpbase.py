@@ -6,7 +6,7 @@ from http.client import HTTPConnection, HTTPException
 
 import pytest
 
-from driftguard.httpbase import JsonHttpServer, post_json
+from driftguard.httpbase import MAX_BODY_BYTES, JsonHttpServer, post_json
 
 from netutil import free_port
 
@@ -86,7 +86,44 @@ class TestPostJson:
             post_json(url, {}, 1)
 
 
+def raw_exchange(port: int, head: bytes) -> tuple[bytes, float]:
+    """Send `head` and read the reply until the server closes the
+    connection: (reply bytes, seconds taken)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=1) as conn:
+        start = time.perf_counter()
+        conn.sendall(head)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+        return reply, time.perf_counter() - start
+
+
 class TestServer:
+    @pytest.mark.parametrize(
+        "length,status",
+        [("-1", 400), ("ten", 400), ("99999999999", 413), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_unusable_content_length_is_refused_unread(self, length, status):
+        head = f"POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n{{}}"
+        with Recorder() as server:
+            reply, elapsed = raw_exchange(server.port, head.encode())
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close\r\n" in reply
+        assert elapsed < 1
+        assert server.seen == []
+
+    def test_body_of_the_largest_accepted_length_is_read(self):
+        body = json.dumps({"pad": "x" * (MAX_BODY_BYTES - 11)}).encode()
+        assert len(body) == MAX_BODY_BYTES
+        with Recorder() as server:
+            connection = HTTPConnection("127.0.0.1", server.port, timeout=5)
+            try:
+                connection.request("POST", "/x", body, {"Content-Type": "application/json"})
+                assert connection.getresponse().status == 201
+            finally:
+                connection.close()
+        assert len(server.seen[0][2]["pad"]) == MAX_BODY_BYTES - 11
+
     def test_keep_alive_round_trips_do_not_wait_for_delayed_acks(self):
         # Headers and body written separately wait out the client's delayed
         # ACK (about 40 ms) on every request of a kept-alive connection.

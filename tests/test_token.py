@@ -1,5 +1,8 @@
 import json
+import logging
 import random
+import sys
+import threading
 from dataclasses import replace
 from datetime import timedelta
 
@@ -528,6 +531,169 @@ class TestTokenStore:
         (tmp_path / "junk.token").write_text("{not json", encoding="utf-8")
         store = TokenStore(tmp_path)
         assert store.current is None
+
+
+def count_body_reads(monkeypatch) -> list:
+    """The token ids of every token body parsed from now on."""
+    reads = []
+    original = BehaviourToken.from_dict
+
+    def counted(data):
+        reads.append(data["token_id"])
+        return original(data)
+
+    monkeypatch.setattr(BehaviourToken, "from_dict", staticmethod(counted))
+    return reads
+
+
+def store_tokens(directory, count):
+    store = TokenStore(directory)
+    tokens = [make_token(now=T0 + timedelta(seconds=i)) for i in range(count)]
+    for token in tokens:
+        store.store(token)
+    return tokens
+
+
+def token_warnings(caplog) -> list:
+    return [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
+
+
+class TestLazyHistory:
+    def test_restart_parses_only_the_current_token(self, tmp_path, monkeypatch):
+        tokens = store_tokens(tmp_path, 5)
+        reads = count_body_reads(monkeypatch)
+        store = TokenStore(tmp_path)
+        assert reads == [tokens[-1].token_id]
+        assert store.current == tokens[-1]
+
+    def test_predecessor_is_parsed_on_first_use_only(self, tmp_path, monkeypatch):
+        tokens = store_tokens(tmp_path, 5)
+        reads = count_body_reads(monkeypatch)
+        store = TokenStore(tmp_path)
+        assert store.find(tokens[1].token_id) == tokens[1]
+        assert store.find(tokens[1].token_id) == tokens[1]
+        assert store.newest_at_or_before(tokens[1].created_at) == tokens[1]
+        assert store.newest_at_or_before(tokens[2].created_at) == tokens[2]
+        assert reads == [tokens[-1].token_id, tokens[1].token_id, tokens[2].token_id]
+        assert store.find("0123456789abcdef") is None
+        assert len(reads) == 3
+
+    def test_corrupt_predecessor_reads_as_absent_with_one_warning(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 3)
+        store = TokenStore(tmp_path)
+        store.path_for(tokens[1]).write_text("{not json", encoding="utf-8")
+        assert store.find(tokens[1].token_id) is None
+        assert store.find(tokens[1].token_id) is None
+        # the date that named it now names the token before it
+        assert store.newest_at_or_before(tokens[1].created_at) == tokens[0]
+        assert [t.token_id for t in store.history()] == [tokens[0].token_id, tokens[2].token_id]
+        warnings = token_warnings(caplog)
+        assert len(warnings) == 1
+        assert "skipping unreadable token file" in warnings[0]
+        assert str(store.path_for(tokens[1])) in warnings[0]
+
+    def test_predecessor_gone_after_restart_reads_as_absent(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 3)
+        store = TokenStore(tmp_path)
+        path = store.path_for(tokens[0])
+        path.rename(path.with_name(f"{int(T0.timestamp())}-{'f' * 16}.token"))
+        assert store.newest_at_or_before(tokens[0].created_at) is None
+        assert store.find(tokens[0].token_id) is None
+        assert len(token_warnings(caplog)) == 1
+
+    def test_body_that_disagrees_with_its_name_is_skipped(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 3)
+        path = TokenStore(tmp_path).path_for(tokens[0])
+        other = path.with_name(f"{int(T0.timestamp())}-{'f' * 16}.token")
+        path.rename(other)
+        store = TokenStore(tmp_path)
+        assert store.find("f" * 16) is None
+        assert store.find(tokens[0].token_id) is None
+        assert store.newest_at_or_before(T0) is None
+        warnings = token_warnings(caplog)
+        assert len(warnings) == 1 and str(other) in warnings[0]
+        assert tokens[0].token_id in warnings[0]
+
+    def test_unreadable_newest_file_falls_back_to_the_previous_token(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 3)
+        newest = TokenStore(tmp_path).path_for(tokens[-1])
+        newest.write_text(newest.read_text(encoding="utf-8")[:100], encoding="utf-8")
+        store = TokenStore(tmp_path)
+        assert store.current == tokens[1]
+        assert store.find(tokens[-1].token_id) is None
+        assert [t.token_id for t in store.history()] == [t.token_id for t in tokens[:2]]
+        warnings = token_warnings(caplog)
+        assert len(warnings) == 1 and str(newest) in warnings[0]
+
+    def test_concurrent_first_uses_parse_each_body_once(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 6)
+        TokenStore(tmp_path).path_for(tokens[0]).write_text("{", encoding="utf-8")
+        predecessors = tokens[:-1]
+        expected = {t.token_id: (t, t) for t in predecessors[1:]}
+        expected[tokens[0].token_id] = (None, None)
+        reads = count_body_reads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):  # restarts, each with racing first uses
+                reads.clear()
+                caplog.clear()
+                store = TokenStore(tmp_path)
+                start = threading.Barrier(8)
+                results, errors = [], []
+
+                def resolve(worker):
+                    try:
+                        start.wait(10)
+                        for token in predecessors[::-1] if worker % 2 else predecessors:
+                            by_id = store.find(token.token_id)
+                            by_date = store.newest_at_or_before(token.created_at)
+                            results.append((token.token_id, by_id, by_date))
+                    except Exception as exc:  # surfaced by the assertion below
+                        errors.append(exc)
+
+                workers = [threading.Thread(target=resolve, args=(i,)) for i in range(8)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(10)
+                assert not any(worker.is_alive() for worker in workers) and errors == []
+                assert sorted(reads) == sorted(t.token_id for t in tokens[1:])
+                assert len(token_warnings(caplog)) == 1
+                assert len(results) == 8 * len(predecessors)
+                assert all(expected[token_id] == (a, b) for token_id, a, b in results)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_indented_files_from_earlier_versions_load_lazily(self, tmp_path, monkeypatch):
+        tokens = [make_token(now=T0 + timedelta(seconds=i)) for i in range(3)]
+        for token in tokens:
+            name = f"{int(token.created_at.timestamp())}-{token.token_id}.token"
+            text = json.dumps(token.to_dict(), sort_keys=True, ensure_ascii=False, indent=2)
+            (tmp_path / name).write_text(text + "\n", encoding="utf-8")
+        reads = count_body_reads(monkeypatch)
+        store = TokenStore(tmp_path)
+        assert store.current == tokens[-1]
+        assert store.find(tokens[0].token_id) == tokens[0]
+        assert store.newest_at_or_before(tokens[1].created_at) == tokens[1]
+        assert len(reads) == 3
+
+    def test_file_without_the_standard_name_is_read_at_start(self, tmp_path, monkeypatch):
+        token = make_token(now=T1)
+        (tmp_path / "copied.token").write_text(
+            json.dumps(token.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
+        )
+        tokens = store_tokens(tmp_path, 2)
+        reads = count_body_reads(monkeypatch)
+        store = TokenStore(tmp_path)
+        assert store.current == token
+        assert reads == [token.token_id]
+        assert store.find(tokens[0].token_id) == tokens[0]
 
 
 def test_compute_token_id_uses_all_fields():
