@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 from .diffing import evaluate_epochs
@@ -69,12 +70,7 @@ def filter_response(response: LabelledResponse, rules) -> LabelledResponse:
     kept = tuple(
         ann for ann in response.annotations if ann.confidence >= rules.min_confidence
     )[: rules.max_labels]
-    return LabelledResponse(
-        image_ref=response.image_ref,
-        annotations=kept,
-        captured_at=response.captured_at,
-        success=response.success,
-    )
+    return replace(response, annotations=kept)
 
 
 class GuardEngine:

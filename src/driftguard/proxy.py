@@ -18,6 +18,7 @@ from .httpbase import JsonHttpServer
 from .scheduler import OUTCOME_ABORTED
 from .token import ETagParseError, parse_etag, validators
 from .types import BenchmarkItem, ContractError, ThresholdRules, parse_http_date
+from .wire import WireFormatError, parse_wire_request
 
 
 class ProxyServer(JsonHttpServer):
@@ -90,17 +91,14 @@ class ProxyServer(JsonHttpServer):
             return None, (400, {}, {"error": f"unparseable If-Unmodified-Since: {exc}"})
 
     def _post_annotate(self, body, headers):
-        if not isinstance(body, dict) or not isinstance(body.get("url"), str) or not body["url"]:
-            return 400, {}, {"error": "body must carry a non-empty 'url'"}
-        max_results = body.get("maxResults")
-        if max_results is not None and (
-            not isinstance(max_results, int) or isinstance(max_results, bool) or max_results < 1
-        ):
-            return 400, {}, {"error": "maxResults must be a positive integer"}
+        try:
+            url, max_results = parse_wire_request(body)
+        except WireFormatError as exc:
+            return 400, {}, {"error": str(exc)}
         token_ref, error_response = self._parse_precondition(headers)
         if error_response is not None:
             return error_response
-        return self.engine.annotate(body["url"], max_results, token_ref)
+        return self.engine.annotate(url, max_results, token_ref)
 
     def _get_token(self):
         current = self.engine.store.current

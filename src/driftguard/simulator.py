@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from .httpbase import JsonHttpServer
 from .types import BenchmarkItem, ContractError, LabelAnnotation, LabelledResponse, sha256_hex
+from .wire import WireFormatError, parse_wire_request, serialize_wire
 
 KINDS_WITH_VALUE = {"add", "shift"}
 KINDS = ("add", "drop", "shift", "replace_top")
@@ -185,54 +186,27 @@ def _mid_for(seed: int, label: str) -> str:
     return "/sim/" + sha256_hex(f"{seed}:{label}")[:10]
 
 
-def _annotations(labels: dict, max_results: int | None = None):
-    ordered = sorted(labels.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_results is not None:
-        ordered = ordered[:max_results]
-    return ordered
-
-
-def wire_body(labels: dict, seed: int, max_results: int | None = None) -> dict:
-    return {
-        "responses": [
-            {
-                "label_annotations": [
-                    {
-                        "mid": _mid_for(seed, label),
-                        "description": label,
-                        "score": confidence,
-                        "topicality": confidence,
-                    }
-                    for label, confidence in _annotations(labels, max_results)
-                ]
-            }
+def _responses(state: dict, seed: int, epoch_index: int) -> dict:
+    """image_ref -> LabelledResponse for one epoch's state, ordered by
+    image_ref, at a fixed synthetic capture time (the epoch index, seconds
+    since the epoch)."""
+    captured = datetime.fromtimestamp(epoch_index, timezone.utc)
+    mids = {label: _mid_for(seed, label) for label in set().union(*state.values())}
+    responses = {}
+    for image_ref in sorted(state):
+        ranked = sorted(state[image_ref].items(), key=lambda kv: (-kv[1], kv[0]))
+        annotations = [
+            LabelAnnotation(label, score, ontology_id=mids[label], topicality=score)
+            for label, score in ranked
         ]
-    }
+        responses[image_ref] = LabelledResponse(image_ref, annotations, captured)
+    return responses
 
 
 def corpus_for_epoch(script: DriftScript, epoch_index: int) -> list[LabelledResponse]:
-    """All responses an epoch serves, ordered by image_ref, at a fixed
-    synthetic capture time (the epoch index, seconds since the epoch)."""
-    states = build_epoch_states(script)
-    state = states[epoch_index]
-    captured = datetime.fromtimestamp(epoch_index, timezone.utc)
-    responses = []
-    for image_ref in sorted(state):
-        annotations = tuple(
-            LabelAnnotation(
-                label=label,
-                confidence=confidence,
-                ontology_id=_mid_for(script.seed, label),
-                topicality=confidence,
-            )
-            for label, confidence in _annotations(state[image_ref])
-        )
-        responses.append(
-            LabelledResponse(
-                image_ref=image_ref, annotations=annotations, captured_at=captured
-            )
-        )
-    return responses
+    """All responses an epoch serves, ordered by image_ref."""
+    state = build_epoch_states(script)[epoch_index]
+    return list(_responses(state, script.seed, epoch_index).values())
 
 
 class SimulatorServer(JsonHttpServer):
@@ -240,13 +214,19 @@ class SimulatorServer(JsonHttpServer):
 
     POST with {"url", "maxResults"} answers from the active epoch; POST
     /advance moves to the next epoch (atomically for in-flight requests)
-    and GET /epoch reports the index. Unknown urls get a wire-level 404.
+    and GET /epoch reports the index. Unknown urls get a wire-level 404,
+    malformed request bodies a 400. Each epoch's responses are built once,
+    when the server enters that epoch.
     """
 
     def __init__(self, script: DriftScript, host: str = "127.0.0.1", port: int = 0):
-        self._script = script
-        self._states = build_epoch_states(script)
+        # every epoch's state is checked now; its responses wait for advance_epoch
+        states = build_epoch_states(script)
+        self._epochs = (
+            _responses(state, script.seed, index) for index, state in enumerate(states)
+        )
         self._epoch = 0
+        self._served = next(self._epochs)
         self._lock = threading.Lock()
         super().__init__(host, port, self._route)
 
@@ -260,7 +240,10 @@ class SimulatorServer(JsonHttpServer):
 
     def advance_epoch(self) -> int:
         with self._lock:
-            if self._epoch + 1 < len(self._states):
+            served = next(self._epochs, None)
+            if served is not None:
+                # once /epoch reports an epoch, /annotate answers from it
+                self._served = served
                 self._epoch += 1
             return self._epoch
 
@@ -270,18 +253,16 @@ class SimulatorServer(JsonHttpServer):
         if method == "POST" and path == "/advance":
             return 200, {}, {"epoch": self.advance_epoch()}
         if method == "POST":
-            if not isinstance(body, dict) or "url" not in body:
-                return 400, {}, {"error": "expected a JSON body with a 'url' field"}
-            url = body["url"]
-            max_results = body.get("maxResults")
-            if max_results is not None and (
-                not isinstance(max_results, int) or isinstance(max_results, bool) or max_results < 1
-            ):
-                return 400, {}, {"error": "maxResults must be a positive integer"}
-            state = self._states[self._epoch]
-            if url not in state:
+            try:
+                url, max_results = parse_wire_request(body)
+            except WireFormatError as exc:
+                return 400, {}, {"error": str(exc)}
+            response = self._served.get(url)
+            if response is None:
                 return 404, {}, {"error": f"no such image: {url}"}
-            return 200, {}, wire_body(state[url], self._script.seed, max_results)
+            if max_results is not None and max_results < len(response.annotations):
+                response = replace(response, annotations=response.annotations[:max_results])
+            return 200, {}, serialize_wire(response)
         return 404, {}, {"error": "not found"}
 
 

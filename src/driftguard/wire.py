@@ -2,10 +2,11 @@
 
 Request: {"url": ..., "maxResults": ...}. Response: {"responses":
 [{"label_annotations": [{"mid", "description", "score", "topicality"}]}]}.
-Parsing normalizes: annotations re-sorted by score descending, duplicate
-labels collapsed to their highest-scoring instance, truncation to the
-requested result count. An empty "responses" array round-trips a failed
-call.
+The proxy and the simulator both check requests with parse_wire_request.
+Parsing a response normalizes: annotations re-sorted by score descending,
+duplicate labels collapsed to their highest-scoring instance, truncation
+to the requested result count. An empty "responses" array round-trips a
+failed call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ log = logging.getLogger(__name__)
 
 
 class WireFormatError(ValueError):
-    """Body does not parse as the service's response format."""
+    """Body does not parse as the service's request or response format."""
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,22 @@ class AnnotateRequest:
 
     def to_wire(self) -> dict:
         return {"url": self.url, "maxResults": self.max_results}
+
+
+def parse_wire_request(body) -> tuple[str, int | None]:
+    """The url and the optional result count of a labelling request.
+
+    Raises WireFormatError when the url is not a non-empty string or
+    maxResults is present but not a positive integer.
+    """
+    if not isinstance(body, dict) or not isinstance(body.get("url"), str) or not body["url"]:
+        raise WireFormatError("body must carry a non-empty 'url'")
+    max_results = body.get("maxResults")
+    if max_results is not None and (
+        not isinstance(max_results, int) or isinstance(max_results, bool) or max_results < 1
+    ):
+        raise WireFormatError("maxResults must be a positive integer")
+    return body["url"], max_results
 
 
 def serialize_wire(response: LabelledResponse) -> dict:

@@ -2,14 +2,30 @@
 
 import socket
 import threading
+from datetime import datetime, timezone
 
 from driftguard.httpbase import JsonHttpServer
+from driftguard.types import LabelAnnotation, LabelledResponse
+from driftguard.wire import serialize_wire
 
 
 def free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+def wire_reply(scores: dict) -> dict:
+    """The wire body of a successful labelling response carrying `scores`
+    (label -> score), highest score first."""
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return serialize_wire(
+        LabelledResponse(
+            image_ref="http://images.test/",
+            annotations=tuple(LabelAnnotation(label, score) for label, score in ranked),
+            captured_at=datetime.fromtimestamp(0, timezone.utc),
+        )
+    )
 
 
 def read_request(conn) -> bytes | None:
@@ -63,11 +79,11 @@ class CallbackReceiver(JsonHttpServer):
 class ScriptedUpstream(JsonHttpServer):
     """Upstream double with per-call scripting: fail N times, count calls."""
 
-    def __init__(self, wire_body_fn, fail_first=0, broken_refs=()):
+    def __init__(self, body_fn, fail_first=0, broken_refs=()):
         self.calls = []
         self.fail_first = fail_first
         self.broken_refs = set(broken_refs)
-        self._wire_body_fn = wire_body_fn
+        self._body_fn = body_fn
         self._lock = threading.Lock()
         super().__init__("127.0.0.1", 0, self._route)
 
@@ -82,7 +98,7 @@ class ScriptedUpstream(JsonHttpServer):
                 self.fail_first -= 1
         if remaining > 0 or url in self.broken_refs:
             return 500, {}, {"error": "scripted failure"}
-        return 200, {}, self._wire_body_fn(url, (body or {}).get("maxResults"))
+        return 200, {}, self._body_fn(url, (body or {}).get("maxResults"))
 
     @property
     def endpoint(self) -> str:

@@ -1,5 +1,7 @@
 """Every name a module of the package imports is used in that module or
-exported through its __all__: an unused-import check that needs no linter."""
+exported through its __all__, and every private module-level name it
+defines is used in it: unused-import and dead-code checks that need no
+linter."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,27 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)
     assert [(line, name) for line, name in imported_names(tree) if name not in used] == []
+
+
+def private_definitions(tree):
+    """(line, name) for each module-level function, class or constant whose
+    name starts with a single underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    assert [(line, name) for line, name in private_definitions(tree) if name not in used] == []

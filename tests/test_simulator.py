@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 import requests
 
 from driftguard.corpus import write_corpus
+from driftguard.httpbase import encode_json
 from driftguard.simulator import (
     DriftScript,
     ScriptError,
@@ -14,8 +16,8 @@ from driftguard.simulator import (
     parse_script,
     random_drift_script,
     script_to_text,
-    wire_body,
 )
+from driftguard.types import canonical_json, sha256_hex
 
 import reference_fixtures as refs
 
@@ -29,6 +31,11 @@ add http://images.test/sheep.jpg herd 0.7696412038803101
 shift http://images.test/sheep.jpg sheep 0.01936030388219212
 add http://images.test/sheep.jpg mammal 0.9890478253364563
 """
+
+# Digests of the bodies served for random_drift_script(606, 200) and of its
+# corpus files; see test_served_bytes_match_the_pinned_format.
+SERVED_SHA256 = "3494461a2627c65fd935cecd9d7203fd8a36ad3ab31d7aca27b2031f4b854a35"
+CORPUS_SHA256 = "bada0f49ede16019a8edd88f615b8b73f83e0e3b7179c8f28546cb41154a72c0"
 
 
 class TestParse:
@@ -183,6 +190,29 @@ class TestServer:
     def test_unknown_image_is_wire_404(self, server):
         assert self.annotate(server, "http://images.test/ghost.jpg").status_code == 404
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"url": []},
+            {"url": {}},
+            {"url": 5},
+            {"url": ""},
+            {"url": "http://images.test/sheep.jpg", "maxResults": 0},
+            {"url": "http://images.test/sheep.jpg", "maxResults": True},
+        ],
+        ids=["url-list", "url-object", "url-number", "url-empty", "max-zero", "max-bool"],
+    )
+    def test_malformed_request_is_400(self, server, body):
+        reply = requests.post(server.endpoint, json=body, timeout=5)
+        assert reply.status_code == 400
+        assert isinstance(reply.json()["error"], str)
+        assert "Traceback" not in reply.text
+
+    def test_inconsistent_later_epoch_fails_at_construction(self):
+        script = parse_script("[epoch 0]\nadd u x 0.5\n[epoch 1]\ndrop u ghost\n")
+        with pytest.raises(ScriptError, match="epoch 1"):
+            SimulatorServer(script)
+
     def test_max_results_respected(self, server):
         reply = self.annotate(server, "http://images.test/sheep.jpg", max_results=1)
         assert len(reply.json()["responses"][0]["label_annotations"]) == 1
@@ -215,6 +245,29 @@ class TestServer:
                 bodies.append(reply.content)
         assert bodies[0] == bodies[1]
 
+    def test_served_bytes_match_the_pinned_format(self):
+        """Golden digests of every body the route serves for a fixed script,
+        and of the corpus files built from it: the served format may not
+        drift, whichever code path builds it."""
+        script, items = random_drift_script(606, 200)
+        refs_in_order = sorted(item.image_ref for item in items)
+        served = hashlib.sha256()
+        with SimulatorServer(script) as sim:
+            for epoch in (0, 1):
+                assert sim.epoch == epoch
+                for max_results in (None, 1, 3, 10):
+                    for ref in refs_in_order:
+                        request = {"url": ref}
+                        if max_results is not None:
+                            request["maxResults"] = max_results
+                        status, _, payload = sim._route("POST", "/annotate", request, {})
+                        assert status == 200
+                        served.update(encode_json(payload))
+                sim.advance_epoch()
+        corpus = [[r.to_dict() for r in corpus_for_epoch(script, e)] for e in (0, 1)]
+        assert served.hexdigest() == SERVED_SHA256
+        assert sha256_hex(canonical_json(corpus)) == CORPUS_SHA256
+
 
 class TestRandomScript:
     def test_structure_is_seed_deterministic(self):
@@ -242,7 +295,8 @@ class TestRandomScript:
             assert body["responses"][0]["label_annotations"]
 
 
-def test_wire_body_orders_by_score_then_label():
-    body = wire_body({"b": 0.5, "a": 0.5, "c": 0.9}, seed=0)
-    labels = [a["description"] for a in body["responses"][0]["label_annotations"]]
+def test_responses_order_by_score_then_label():
+    script = parse_script("[epoch 0]\nadd u b 0.5\nadd u a 0.5\nadd u c 0.9\n")
+    (response,) = corpus_for_epoch(script, 0)
+    labels = [a.label for a in response.annotations]
     assert labels == ["c", "a", "b"]

@@ -6,12 +6,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from driftguard.simulator import SimulatorServer, parse_script, wire_body
+from driftguard.simulator import SimulatorServer, parse_script
 from driftguard.types import BenchmarkDataset, BenchmarkItem, ThresholdRules
 from driftguard.upstream import UpstreamClient
 from driftguard.wire import AnnotateRequest
 
-from netutil import ScriptedUpstream, free_port, http_reply, read_request
+from netutil import ScriptedUpstream, free_port, http_reply, read_request, wire_reply
 
 SCRIPT = parse_script(
     "[epoch 0]\n"
@@ -53,7 +53,7 @@ class TestAnnotate:
 
     def test_truncates_to_max_results_even_if_server_ignores_it(self):
         # the double returns every annotation regardless of maxResults
-        body_fn = lambda url, n: wire_body({"a": 0.9, "b": 0.8, "c": 0.7}, seed=0)
+        body_fn = lambda url, n: wire_reply({"a": 0.9, "b": 0.8, "c": 0.7})
         with ScriptedUpstream(body_fn) as upstream:
             client = fast_client(upstream.endpoint)
             response = client.annotate(AnnotateRequest("http://x", 2))
@@ -98,7 +98,7 @@ class TestKeptAlive:
     """The client reuses an idle connection, reopens it once when the
     server has closed it, and never resends after a timeout."""
 
-    REPLY = http_reply(200, json.dumps(wire_body({"x": 0.9}, seed=0)).encode())
+    REPLY = http_reply(200, json.dumps(wire_reply({"x": 0.9})).encode())
 
     def serve(self, listener, script):
         """Run `script(accept)` on a thread, where accept() returns the next
@@ -172,7 +172,7 @@ class TestKeptAlive:
 
     def test_threads_sharing_the_pool_each_get_their_own_reply(self):
         # Two calls on one connection at once would cross their replies.
-        body_fn = lambda url, n: wire_body({url.rsplit("/", 1)[1]: 0.9}, seed=0)
+        body_fn = lambda url, n: wire_reply({url.rsplit("/", 1)[1]: 0.9})
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -208,7 +208,7 @@ class TestSnapshot:
         assert len(snapshot[0].annotations) == 2  # dog has three labels upstream
 
     def test_persistently_failing_item_marked_failed(self):
-        body_fn = lambda url, n: wire_body({"x": 0.9}, seed=0)
+        body_fn = lambda url, n: wire_reply({"x": 0.9})
         broken = "http://images.test/cat.jpg"
         with ScriptedUpstream(body_fn, broken_refs={broken}) as upstream:
             client = fast_client(upstream.endpoint, retries=2)
@@ -218,7 +218,7 @@ class TestSnapshot:
         assert upstream.calls.count(broken) == 2
 
     def test_transient_failures_retried_until_success(self):
-        body_fn = lambda url, n: wire_body({"x": 0.9}, seed=0)
+        body_fn = lambda url, n: wire_reply({"x": 0.9})
         single = BenchmarkDataset.create("one", [BenchmarkItem("http://images.test/a.jpg", "")])
         with ScriptedUpstream(body_fn, fail_first=2) as upstream:
             client = fast_client(upstream.endpoint, retries=3)
@@ -253,7 +253,7 @@ def test_concurrency_is_bounded():
             import time
 
             time.sleep(0.02)
-            return wire_body({"x": 0.9}, seed=0)
+            return wire_reply({"x": 0.9})
         finally:
             with lock:
                 active -= 1
