@@ -1,8 +1,9 @@
 """The facade's behaviour, independent of any HTTP framing.
 
-The engine owns the benchmark dataset, the token store, the upstream
-client, the precondition-failure counter, and the detection workflow. The
-HTTP layer translates requests into the engine's vocabulary and back.
+The engine owns the token store (which holds the benchmark dataset and
+every file under the storage path), the upstream client, the
+precondition-failure counter, and the detection workflow. The HTTP layer
+translates requests into the engine's vocabulary and back.
 
 Request handling reads one atomic snapshot of the current token on entry
 and uses it throughout, so a detection run swapping the token mid-request
@@ -11,11 +12,9 @@ never produces a torn view.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import replace
-from pathlib import Path
 
 from .diffing import evaluate_epochs
 from .httpbase import encode_json, post_json
@@ -26,6 +25,8 @@ from .scheduler import (
     DetectionRun,
 )
 from .token import (
+    AUDIT_FILE,
+    DETECTIONS_FILE,
     TokenStore,
     mint_token,
     no_key_error,
@@ -39,7 +40,6 @@ from .types import (
     SEVERITY_WARNING,
     BenchmarkDataset,
     LabelledResponse,
-    canonical_json,
     dataset_fingerprint,
     iso_ts,
     utc_now_second,
@@ -48,10 +48,6 @@ from .upstream import UpstreamClient
 from .wire import AnnotateRequest, serialize_wire
 
 log = logging.getLogger(__name__)
-
-DATASET_FILE = "dataset.json"
-AUDIT_FILE = "audit.log"
-DETECTIONS_FILE = "detections.log"
 
 NOT_INITIALIZED = "not_initialized"
 
@@ -76,12 +72,9 @@ def filter_response(response: LabelledResponse, rules) -> LabelledResponse:
 class GuardEngine:
     def __init__(self, config, client: UpstreamClient | None = None, now_fn=utc_now_second):
         self.config = config
-        self.storage = Path(config.storage_path)
-        self.store = TokenStore(self.storage)
+        self.store = TokenStore(config.storage_path)
         self.client = client or UpstreamClient(config.upstream_url)
         self._now = now_fn
-        self.dataset: BenchmarkDataset | None = self._load_dataset()
-        self._log_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._violations_since_run = 0
         self._run_lock = threading.Lock()
@@ -94,45 +87,14 @@ class GuardEngine:
 
     @property
     def initialized(self) -> bool:
-        return self.dataset is not None and self.store.current is not None
-
-    def _baseline(self):
-        """(current token, dataset), each read once, or None when the proxy
-        has no usable baseline. A fingerprint mismatch means a
-        re-initialisation is mid-flight; until both halves agree there is
-        nothing to serve or detect against."""
-        current, dataset = self.store.current, self.dataset
-        if current is None or dataset is None:
-            return None
-        if current.dataset_fingerprint != dataset.fingerprint:
-            return None
-        return current, dataset
+        return self.store.baseline() is not None
 
     def violations_since_run(self) -> int:
         with self._counter_lock:
             return self._violations_since_run
 
-    def _load_dataset(self) -> BenchmarkDataset | None:
-        path = self.storage / DATASET_FILE
-        if not path.is_file():
-            return None
-        try:
-            return BenchmarkDataset.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (ValueError, KeyError) as exc:
-            log.warning("ignoring unreadable dataset file %s: %s", path, exc)
-            return None
-
-    def _save_dataset(self, dataset: BenchmarkDataset):
-        path = self.storage / DATASET_FILE
-        path.write_text(canonical_json(dataset.to_dict()) + "\n", encoding="utf-8")
-
-    def _append_line(self, filename: str, record: dict):
-        with self._log_lock:
-            with open(self.storage / filename, "a", encoding="utf-8") as handle:
-                handle.write(canonical_json(record) + "\n")
-
     def _audit(self, record: dict):
-        self._append_line(AUDIT_FILE, {"ts": iso_ts(self._now()), **record})
+        self.store.append(AUDIT_FILE, {"ts": iso_ts(self._now()), **record})
 
     def _post_callback(self, payload: dict):
         url = self.config.warning_callback_url
@@ -161,8 +123,7 @@ class GuardEngine:
                 f"all {len(snapshot)} benchmark requests failed against {self.client.endpoint}"
             )
         token = mint_token(self.config.service_id, dataset, rules, snapshot, self._now())
-        self._save_dataset(dataset)
-        self.dataset = dataset
+        self.store.save_dataset(dataset)
         self.store.store(token)
         self._audit(
             {
@@ -211,7 +172,7 @@ class GuardEngine:
     def _verdict(self, requested, current, dataset):
         """validate(requested, current, dataset) and its encoded 412 body,
         computed once per requested token while `current` stays current.
-        Tokens are immutable and _baseline() pins the dataset to the current
+        Tokens are immutable and baseline() pins the dataset to the current
         token's fingerprint, so the two token ids decide the result; the
         cache holds at most one entry per token in history."""
         current_id, verdicts = self._verdicts
@@ -249,7 +210,7 @@ class GuardEngine:
         token_ref is ("etag", token_id) or ("date", datetime). Returns
         (status, headers, body) for the HTTP layer.
         """
-        baseline = self._baseline()
+        baseline = self.store.baseline()
         if baseline is None:
             return self._precondition_failed(no_key_error(), url)
         current, dataset = baseline
@@ -298,7 +259,7 @@ class GuardEngine:
                 with self._counter_lock:
                     self._violations_since_run = 0
         record = run.to_dict()
-        self._append_line(DETECTIONS_FILE, record)
+        self.store.append(DETECTIONS_FILE, record)
         if run.outcome == OUTCOME_ROTATED:
             self._post_callback({"kind": "detection", "run": record})
         return run
@@ -306,7 +267,7 @@ class GuardEngine:
     def _detect(self):
         """Decide one run: returns its outcome and the DetectionRun fields
         beyond the trigger and the timestamps."""
-        baseline = self._baseline()
+        baseline = self.store.baseline()
         if baseline is None:
             return OUTCOME_ABORTED, {"reason": NOT_INITIALIZED}
         current, dataset = baseline

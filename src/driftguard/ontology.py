@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 
 from .types import ContractError, read_utf8
 
@@ -21,35 +22,6 @@ class OntologyChangeKind(str, Enum):
     UNCHANGED = "unchanged"
 
 
-def _find_cycle(parents: dict[str, frozenset[str]]) -> list[str] | None:
-    # Iterative three-colour DFS over child->parent edges.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in parents}
-    for start in parents:
-        if colour[start] != WHITE:
-            continue
-        stack = [(start, iter(parents.get(start, ())))]
-        colour[start] = GREY
-        path = [start]
-        while stack:
-            node, edges = stack[-1]
-            advanced = False
-            for parent in edges:
-                if colour.get(parent, WHITE) == GREY:
-                    return path + [parent]
-                if colour.get(parent, WHITE) == WHITE:
-                    colour[parent] = GREY
-                    path.append(parent)
-                    stack.append((parent, iter(parents.get(parent, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
-
-
 @dataclass(frozen=True)
 class OntologyTaxonomy:
     """Acyclic child -> parents multi-mapping."""
@@ -59,9 +31,12 @@ class OntologyTaxonomy:
     def __post_init__(self):
         normalized = {child: frozenset(ps) for child, ps in self.parents.items()}
         object.__setattr__(self, "parents", normalized)
-        cycle = _find_cycle(normalized)
-        if cycle is not None:
-            raise ContractError(f"taxonomy contains a cycle: {' -> '.join(cycle)}")
+        try:
+            TopologicalSorter(normalized).prepare()
+        except CycleError as exc:
+            # graphlib lists the cycle parent -> child; report it child -> parent
+            cycle = reversed(exc.args[1])
+            raise ContractError(f"taxonomy contains a cycle: {' -> '.join(cycle)}") from None
 
     @classmethod
     def from_pairs(cls, pairs) -> "OntologyTaxonomy":

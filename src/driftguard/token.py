@@ -1,5 +1,6 @@
 """Behaviour-token lifecycle: minting, weak-ETag encoding, request
-validation, and persistent history.
+validation, and persistent history, kept with the benchmark dataset and
+the logs in one storage directory.
 
 A token freezes the proxy's state at one instant: the rules in force, the
 benchmark identity, and the full response snapshot. Requests carry only
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -36,6 +38,10 @@ from .types import (
 log = logging.getLogger(__name__)
 
 TOKEN_ID_LENGTH = 16
+
+DATASET_FILE = "dataset.json"
+AUDIT_FILE = "audit.log"
+DETECTIONS_FILE = "detections.log"
 
 
 class ETagParseError(ValueError):
@@ -347,32 +353,48 @@ class _Entry:
     path: Path
     token: BehaviourToken | None = None
 
+    def parse(self, data) -> BehaviourToken:
+        """The token in `data`, which must be the one the file name names."""
+        token = BehaviourToken.from_dict(data)
+        if token.token_id != self.token_id or token.created_at != self.created_at:
+            raise ValueError(f"holds token {token.token_id} created {iso_ts(token.created_at)}")
+        return token
+
 
 # `<created_at unix seconds>-<token_id>.token`, as path_for writes it
 _FILE_NAME = re.compile(rf"(\d+)-([0-9a-f]{{{TOKEN_ID_LENGTH}}})\.token")
 
 
 class TokenStore:
-    """Append-only token history persisted one file per token.
+    """The storage directory: the append-only token history, one file per
+    token, the benchmark dataset, and the audit and detection logs. No
+    other module touches a file in it.
 
-    File names are `<created_at unix seconds>-<token_id>.token`; contents
-    are the canonical serialization (sorted keys, UTF-8, LF). The newest
-    token is the current one; replacing it is atomic with respect to
-    readers. Reload order for same-second mints falls back to file mtime,
-    which matches write order.
+    Token file names are `<created_at unix seconds>-<token_id>.token`.
+    Token files and `dataset.json` hold the canonical serialization
+    (sorted keys, UTF-8, LF) and are replaced atomically, so a crash
+    mid-write leaves the previous file whole. The newest token is the
+    current one. Reload order for same-second mints falls back to file
+    mtime, which matches write order.
 
-    A reload indexes the history from the file names and reads only the
-    current token's body; a predecessor's body is read on first use, once.
-    A body that cannot be parsed, or that disagrees with its file name, is
-    skipped with a warning and the token reads as absent from then on.
+    A reload reads the dataset, indexes the history from the file names
+    and reads only the current token's body; a predecessor's body is read
+    on first use, once. A file that cannot be parsed, or a token body that
+    disagrees with its file name, is skipped with a warning and reads as
+    absent from then on.
     """
 
     def __init__(self, directory):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._log_lock = threading.Lock()
         self._history: list[_Entry] = []
         self._by_id: dict[str, _Entry] = {}
+        dataset_path = self._dir / DATASET_FILE
+        self.dataset: BenchmarkDataset | None = None
+        if dataset_path.is_file():
+            self.dataset = self._read(dataset_path, BenchmarkDataset.from_dict, "dataset")
         self._load()
 
     def _load(self):
@@ -384,7 +406,7 @@ class TokenStore:
                 entry = _Entry(created_at, match[2], path)
             else:
                 # a name that says nothing: read the body now, as it sorts by it
-                token = self._read(path)
+                token = self._read(path, BehaviourToken.from_dict)
                 if token is None:
                     continue
                 entry = _Entry(token.created_at, token.token_id, path, token)
@@ -396,7 +418,7 @@ class TokenStore:
         # the newest readable file is the current token
         while history and history[-1].token is None:
             newest = history[-1]
-            newest.token = self._read(newest.path, newest)
+            newest.token = self._read(newest.path, newest.parse)
             if newest.token is None:
                 history.pop()
         self._set_history(history)
@@ -406,21 +428,49 @@ class TokenStore:
         self._by_id = {entry.token_id: entry for entry in history}
 
     @staticmethod
-    def _read(path: Path, entry: _Entry | None = None) -> BehaviourToken | None:
-        """The token in `path`, or None (with a warning) when the body does
-        not parse or disagrees with the file name `entry` was indexed by."""
+    def _read(path: Path, parse, kind: str = "token"):
+        """parse(the JSON in `path`), or None, with a warning naming the
+        file, when it cannot be read or parse rejects it."""
         try:
-            token = BehaviourToken.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            if entry is not None and (
-                token.token_id != entry.token_id or token.created_at != entry.created_at
-            ):
-                raise ValueError(
-                    f"holds token {token.token_id} created {iso_ts(token.created_at)}"
-                )
+            return parse(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            log.warning("skipping unreadable token file %s: %s", path, exc)
+            log.warning("skipping unreadable %s file %s: %s", kind, path, exc)
             return None
-        return token
+
+    @staticmethod
+    def _write(path: Path, obj):
+        """Replace `path` with canonical_json(obj) + LF: write `<name>.tmp`
+        beside it, fsync, then rename it over `path`. A failed write leaves
+        the previous file as it was and at most a stray `.tmp`, which
+        nothing reads and the next write replaces."""
+        tmp = path.with_name(path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(canonical_json(obj) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+
+    def append(self, name: str, record: dict):
+        """Append `record` as one canonical JSON line to the log `name`."""
+        with self._log_lock, (self._dir / name).open("a", encoding="utf-8") as handle:
+            handle.write(canonical_json(record) + "\n")
+
+    def save_dataset(self, dataset: BenchmarkDataset):
+        with self._lock:
+            self._write(self._dir / DATASET_FILE, dataset.to_dict())
+            self.dataset = dataset
+
+    def baseline(self):
+        """(current token, dataset), each read once, or None when the proxy
+        has no usable baseline. A fingerprint mismatch means a
+        re-initialisation is mid-flight; until both halves agree there is
+        nothing to serve or detect against."""
+        current, dataset = self.current, self.dataset
+        if current is None or dataset is None:
+            return None
+        if current.dataset_fingerprint != dataset.fingerprint:
+            return None
+        return current, dataset
 
     def _token(self, entry: _Entry) -> BehaviourToken | None:
         """The entry's token, read on first use under the lock; None when it
@@ -434,7 +484,7 @@ class TokenStore:
                 # dropped by an earlier reader, or stored again since
                 return None if live is None else live.token
             if entry.token is None:  # no other reader got here first
-                entry.token = self._read(entry.path, entry)
+                entry.token = self._read(entry.path, entry.parse)
                 if entry.token is None:
                     self._set_history([e for e in self._history if e is not entry])
             return entry.token
@@ -444,10 +494,9 @@ class TokenStore:
         return self._dir / f"{unix}-{token.token_id}.token"
 
     def store(self, token: BehaviourToken) -> Path:
-        payload = canonical_json(token.to_dict()) + "\n"
         with self._lock:
             path = self.path_for(token)
-            path.write_text(payload, encoding="utf-8")
+            self._write(path, token.to_dict())
             history = [e for e in self._history if e.token_id != token.token_id]
             history.append(_Entry(token.created_at, token.token_id, path, token))
             self._set_history(history)

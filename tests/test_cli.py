@@ -13,8 +13,11 @@ import requests
 from driftguard.cli import main
 from driftguard.corpus import write_corpus
 from driftguard.simulator import SimulatorServer, parse_script
+from driftguard.token import DATASET_FILE, TokenStore, mint_token
+from driftguard.types import BenchmarkDataset, canonical_json
 
 import reference_fixtures as refs
+from gen_strategies import T0
 from netutil import free_port, http_reply, read_request
 from test_proxy import DRIFT_SCRIPT
 
@@ -470,6 +473,25 @@ class TestServeAndTick:
                 proc.send_signal(signal.SIGINT)
                 out, err = proc.communicate(timeout=15)
             assert proc.returncode == 0, err
+
+    def test_token_of_another_dataset_is_not_initialized_exit_5(self, tmp_path, capsys):
+        # a token minted for one dataset beside another dataset's file
+        storage = tmp_path / "storage"
+        minted = BenchmarkDataset.create("minted", refs.FIXTURE_ITEMS)
+        other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
+        snapshot, _ = refs.fixture_snapshots()
+        TokenStore(storage).store(mint_token("vision-main", minted, refs.FIXTURE_RULES, snapshot, T0))
+        (storage / DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
+        config_path, listen = write_config(tmp_path, "http://127.0.0.1:1/annotate")
+        proc = spawn(["serve", "--config", str(config_path)])
+        try:
+            wait_http(f"http://{listen}/token")
+            assert requests.post(f"http://{listen}/admin/detect", timeout=5).status_code == 409
+            assert main(["tick", "--config", str(config_path)]) == 5
+        finally:
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=15)
+        assert proc.returncode == 0, err
 
     def test_tick_against_dead_proxy_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate")

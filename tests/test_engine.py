@@ -2,8 +2,10 @@
 412 is computed once per current token, and serving it from the cache
 changes nothing a client or the z counter can see) and the storage files."""
 
+import errno
 import json
 import logging
+import pathlib
 import tempfile
 from dataclasses import replace
 from datetime import timedelta
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given
 
 from driftguard.config import ProxyConfig
-from driftguard.engine import DATASET_FILE, GuardEngine
+from driftguard.engine import GuardEngine
 from driftguard.httpbase import encode_json
-from driftguard.token import BehaviourToken, mint_token, validate
+from driftguard.token import DATASET_FILE, BehaviourToken, mint_token, validate
 from driftguard.types import (
     BenchmarkDataset,
     LabelledResponse,
@@ -33,10 +35,14 @@ URL = "http://images.test/a.jpg"
 
 
 class CannedUpstream:
-    """Answers every labelling call with an empty successful response."""
+    """Answers every labelling call, and every item of a benchmark
+    snapshot, with an empty successful response."""
 
     def annotate(self, request):
         return LabelledResponse(request.url, (), utc_now_second())
+
+    def snapshot_benchmark(self, dataset, rules):
+        return tuple(LabelledResponse(item.image_ref, (), utc_now_second()) for item in dataset.items)
 
 
 def make_engine(storage, z=1000, now_fn=utc_now_second):
@@ -54,7 +60,7 @@ def make_engine(storage, z=1000, now_fn=utc_now_second):
 def install(engine, *tokens):
     """Give the engine a baseline: the fixture dataset and `tokens` as its
     history, the last one current."""
-    engine.dataset = DATASET
+    engine.store.dataset = DATASET
     for token in tokens:
         engine.store.store(token)
 
@@ -181,7 +187,7 @@ class TestRestart:
 
     def history(self, storage):
         engine = make_engine(storage)
-        engine._save_dataset(DATASET)
+        engine.store.save_dataset(DATASET)
         old = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
         install(engine, old, current)
@@ -218,7 +224,7 @@ class TestStorageFiles:
     def test_token_and_dataset_files_are_canonical_json(self, tmp_path):
         engine = make_engine(tmp_path)
         token = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
-        engine._save_dataset(DATASET)
+        engine.store.save_dataset(DATASET)
         path = engine.store.store(token)
         assert path.read_text(encoding="utf-8") == canonical_json(token.to_dict()) + "\n"
         dataset_text = (tmp_path / DATASET_FILE).read_text(encoding="utf-8")
@@ -235,11 +241,90 @@ class TestStorageFiles:
         (tmp_path / DATASET_FILE).write_text(indented(DATASET.to_dict()), encoding="utf-8")
         engine = make_engine(tmp_path)
         assert engine.initialized
-        assert engine.dataset == DATASET
+        assert engine.store.dataset == DATASET
         assert [t.token_id for t in engine.store.history()] == [old.token_id, current.token_id]
         assert engine.store.current == current
         assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 200
         assert engine.annotate(URL, None, ("etag", old.token_id))[0] == 412
+
+    def test_wrong_typed_dataset_file_is_skipped_with_a_warning(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        path = tmp_path / DATASET_FILE
+        path.write_text('{"dataset_id": "x", "items": 5, "fingerprint": "y"}\n', encoding="utf-8")
+        engine = make_engine(tmp_path)
+        assert not engine.initialized
+        status, _, body = engine.annotate(URL, None, ("etag", "0123456789abcdef"))
+        assert (status, body["error_code"]) == (412, 0)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
+        assert len(warnings) == 1 and str(path) in warnings[0]
+
+    def test_dataset_of_another_token_is_not_initialized_after_restart(self, tmp_path):
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        install(make_engine(tmp_path), current)
+        other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
+        (tmp_path / DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
+        restarted = make_engine(tmp_path)
+        assert restarted.store.current == current
+        assert not restarted.initialized
+        assert restarted.run_detection("manual").reason == "not_initialized"
+
+    def test_torn_writes_leave_the_previous_files_whole(self, tmp_path, monkeypatch, caplog):
+        clock = [T0]
+        engine = make_engine(tmp_path, now_fn=lambda: clock[0])
+        first = engine.initialize_benchmark(refs.FIXTURE_ITEMS, refs.FIXTURE_RULES)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        real_open = pathlib.Path.open
+        torn = []
+
+        class TornFile:
+            """Writes the first half of the payload, then fails."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        def tearing_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if "w" in mode and torn and torn[0] in path.name:
+                return TornFile(handle)
+            return handle
+
+        monkeypatch.setattr(pathlib.Path, "open", tearing_open)
+        # a new dataset whose file write fails half-way
+        torn[:] = [DATASET_FILE]
+        with pytest.raises(OSError):
+            engine.initialize_benchmark(refs.FIXTURE_ITEMS[:2], refs.FIXTURE_RULES)
+        assert (tmp_path / DATASET_FILE).read_bytes() == before[DATASET_FILE]
+        # the same dataset again, a second later: its token write fails half-way
+        torn[:] = [".token"]
+        clock[0] = T0 + timedelta(seconds=1)
+        with pytest.raises(OSError):
+            engine.initialize_benchmark(refs.FIXTURE_ITEMS, refs.FIXTURE_RULES)
+        monkeypatch.undo()
+
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".tmp"}
+        assert after == before
+        assert engine.annotate(URL, None, ("etag", first.token_id))[0] == 200
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        restarted = make_engine(tmp_path)
+        # the stray temp files are not token files, so nothing reads them
+        assert [r for r in caplog.records if r.name == "driftguard.token"] == []
+        assert restarted.initialized and restarted.store.current == first
+        assert restarted.annotate(URL, None, ("etag", first.token_id))[0] == 200
 
     def test_audit_records_are_stamped_by_the_engine_clock(self, tmp_path):
         engine = make_engine(tmp_path, now_fn=lambda: T1)

@@ -63,3 +63,23 @@ def test_every_private_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)
     assert [(line, name) for line, name in private_definitions(tree) if name not in used] == []
+
+
+STORAGE_NAMES = ("dataset.json", "audit.log", "detections.log", ".token")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "token.py"),
+    ids=lambda path: path.name,
+)
+def test_only_the_token_store_names_storage_files(path):
+    """The token store (token.py) owns every file under storage_path, so no
+    other module spells a storage file name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    literals = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert [(line, text) for line, text in literals if any(n in text for n in STORAGE_NAMES)] == []

@@ -65,8 +65,9 @@ def test_transitive_generalisation():
 
 
 def test_cycle_rejected_at_load():
-    with pytest.raises(ContractError, match="cycle"):
+    with pytest.raises(ContractError, match="cycle") as excinfo:
         OntologyTaxonomy.from_pairs([("a", "b"), ("b", "c"), ("c", "a")])
+    assert str(excinfo.value) == "taxonomy contains a cycle: a -> b -> c -> a"
 
 
 def test_self_loop_rejected():

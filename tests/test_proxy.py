@@ -271,11 +271,11 @@ class TestAnnotateServing:
         post_benchmark(proxy)
         assert annotate(proxy, date=http_date(T_INIT)).status_code == 200
 
-    def test_audit_log_records_served_requests(self, stack):
-        proxy, engine, _ = stack
+    def test_audit_log_records_served_requests(self, stack, tmp_path):
+        proxy, _, _ = stack
         etag = post_benchmark(proxy).headers["ETag"]
         annotate(proxy, url="http://images.test/a.jpg", etag=etag)
-        audit = (engine.storage / "audit.log").read_text(encoding="utf-8")
+        audit = (tmp_path / "storage" / "audit.log").read_text(encoding="utf-8")
         assert '"kind":"annotate"' in audit
 
 
@@ -446,7 +446,7 @@ class TestSeverityDispatch:
         with proxy:
             reply = self.drift_and_request_with_stale_token(proxy, sim, clock)
             assert reply.status_code == 200
-            audit = (proxy.engine.storage / "audit.log").read_text(encoding="utf-8")
+            audit = (tmp_path / "storage-info" / "audit.log").read_text(encoding="utf-8")
         assert '"kind":"violation"' in audit
 
 

@@ -148,7 +148,7 @@ class TestRunDetection:
         old = init_engine(engine)
         sim.advance_epoch()
         engine.run_detection(TRIGGER_MANUAL)
-        error = validate(old, engine.store.current, engine.dataset)
+        error = validate(old, engine.store.current, engine.store.dataset)
         assert error is not None
         assert error.error_code >= 7
 
@@ -167,7 +167,7 @@ class TestRunDetection:
         engine.run_detection(TRIGGER_MANUAL)
         sim.advance_epoch()
         engine.run_detection(TRIGGER_INTERVAL)
-        lines = (engine.storage / "detections.log").read_text(encoding="utf-8").splitlines()
+        lines = (tmp_path / "storage" / "detections.log").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         records = [json.loads(line) for line in lines]
         assert records[0]["outcome"] == OUTCOME_NO_CHANGE
@@ -336,7 +336,7 @@ class TestServeIntegration:
                         timeout=5,
                     )
                 deadline = time.monotonic() + 5
-                log_path = engine.storage / "detections.log"
+                log_path = tmp_path / "storage" / "detections.log"
                 while time.monotonic() < deadline:
                     if log_path.exists() and log_path.read_text(encoding="utf-8").strip():
                         break
