@@ -33,7 +33,7 @@ from .httpbase import post_json
 from .proxy import ProxyServer
 from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, Scheduler
 from .simulator import SimulatorServer, parse_script
-from .token import validators
+from .token import TokenStore, validators
 from .tuner import tune_thresholds
 from .types import pretty_json, read_utf8
 
@@ -111,7 +111,8 @@ def cmd_init(args) -> int:
     except ConnectionRefusedError:
         # Nothing listens; bootstrap directly against the storage path so a
         # later `serve` picks the token up.
-        token = GuardEngine(config).initialize_benchmark(items, config.rules)
+        with TokenStore.lock(config.storage_path):
+            token = GuardEngine(config).initialize_benchmark(items, config.rules)
         status, headers, reply = 201, validators(token), token.metadata()
     except OSError as exc:
         # Something listens but did not answer: it may be a proxy that owns
@@ -129,13 +130,14 @@ def cmd_init(args) -> int:
 
 def cmd_serve(args) -> int:
     config = _load_config_arg(args)
-    engine = GuardEngine(config)
-    return _serve(
-        lambda: ProxyServer(config, engine=engine),
-        f"address {config.listen} is already in use",
-        lambda server: f"listening on {server.base_url}",
-        Scheduler(engine, config.schedule_interval_secs),
-    )
+    with TokenStore.lock(config.storage_path):
+        engine = GuardEngine(config)
+        return _serve(
+            lambda: ProxyServer(config, engine=engine),
+            f"address {config.listen} is already in use",
+            lambda server: f"listening on {server.base_url}",
+            Scheduler(engine, config.schedule_interval_secs),
+        )
 
 
 def cmd_tick(args) -> int:

@@ -78,6 +78,9 @@ class GuardEngine:
         self._counter_lock = threading.Lock()
         self._violations_since_run = 0
         self._run_lock = threading.Lock()
+        # runs started; the last finished run (None during a run or after a failed one)
+        self._runs_started = 0
+        self._last_run: DetectionRun | None = None
         # (current token id, {requested token id: (error, encoded 412 body)})
         self._verdicts: tuple = (None, {})
         # Set by the scheduler; called when the 412 counter reaches z.
@@ -123,8 +126,7 @@ class GuardEngine:
                 f"all {len(snapshot)} benchmark requests failed against {self.client.endpoint}"
             )
         token = mint_token(self.config.service_id, dataset, rules, snapshot, self._now())
-        self.store.save_dataset(dataset)
-        self.store.store(token)
+        self.store.save_dataset(dataset, token)
         self._audit(
             {
                 "kind": "benchmark_initialized",
@@ -242,9 +244,16 @@ class GuardEngine:
     # -------------------------------------------------------------- detection
 
     def run_detection(self, trigger: str) -> DetectionRun:
-        """Execute one evolution-detection run. Serialized: concurrent calls
-        queue up on the run lock, so at most one run is ever in flight."""
+        """Execute one evolution-detection run, or share one. Runs never
+        overlap: a call that queued behind a run returns the next run that
+        started after the call arrived, so concurrent calls cost at most
+        two sweeps and none gets a verdict from an older probe."""
+        arrived = self._runs_started
         with self._run_lock:
+            if self._runs_started != arrived and self._last_run is not None:
+                return self._last_run
+            self._runs_started += 1
+            self._last_run = None
             try:
                 started = self._now()
                 outcome, details = self._detect()
@@ -258,8 +267,9 @@ class GuardEngine:
             finally:
                 with self._counter_lock:
                     self._violations_since_run = 0
-        record = run.to_dict()
-        self.store.append(DETECTIONS_FILE, record)
+            record = run.to_dict()
+            self.store.append(DETECTIONS_FILE, record)
+            self._last_run = run
         if run.outcome == OUTCOME_ROTATED:
             self._post_callback({"kind": "detection", "run": record})
         return run

@@ -32,6 +32,11 @@ _CLOSED_BY_PEER = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # images is about 200 KB; anything declared longer is refused unread.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+# How long a server connection may wait on its client for the next byte
+# (an idle keep-alive, a short body, half-sent headers) before it closes
+# and frees its thread.
+SOCKET_TIMEOUT_SECS = 30
+
 
 def encode_json(payload) -> bytes:
     """The response body the servers send for a JSON payload."""
@@ -85,6 +90,7 @@ class JsonHttpServer:
             # status line, headers and body leave in one write instead of
             # waiting out Nagle against the client's delayed ACK.
             wbufsize = -1
+            timeout = SOCKET_TIMEOUT_SECS
 
             def handle(self):
                 try:

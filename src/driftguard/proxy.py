@@ -22,11 +22,10 @@ from .wire import WireFormatError, parse_wire_request
 
 
 class ProxyServer(JsonHttpServer):
-    def __init__(self, config, engine: GuardEngine | None = None, port: int | None = None):
+    def __init__(self, config, engine: GuardEngine):
         self.config = config
-        self.engine = engine or GuardEngine(config)
-        listen_port = config.listen_port if port is None else port
-        super().__init__(config.listen_host, listen_port, self._route)
+        self.engine = engine
+        super().__init__(config.listen_host, config.listen_port, self._route)
 
     # --------------------------------------------------------------- routing
 

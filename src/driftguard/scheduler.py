@@ -4,7 +4,8 @@ A run re-probes the benchmark, diffs it against the live token's snapshot,
 and rotates the token only when drift crosses the operator's thresholds.
 Two independent triggers fire runs: a fixed interval and a count of
 request-time precondition failures. Runs never overlap; a trigger landing
-during an active run is absorbed by it.
+during an active run waits for the next run, which every trigger that
+landed meanwhile shares.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ robustness failures always win over benchmark failures.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import logging
 import os
 import re
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +44,7 @@ TOKEN_ID_LENGTH = 16
 DATASET_FILE = "dataset.json"
 AUDIT_FILE = "audit.log"
 DETECTIONS_FILE = "detections.log"
+LOCK_FILE = "writer.lock"
 
 
 class ETagParseError(ValueError):
@@ -361,14 +364,15 @@ class _Entry:
         return token
 
 
-# `<created_at unix seconds>-<token_id>.token`, as path_for writes it
-_FILE_NAME = re.compile(rf"(\d+)-([0-9a-f]{{{TOKEN_ID_LENGTH}}})\.token")
+# `<unix seconds>-<token_id>.token` as path_for writes it; 11 digits (to 5138) fit datetime
+_FILE_NAME = re.compile(rf"(\d{{1,11}})-([0-9a-f]{{{TOKEN_ID_LENGTH}}})\.token")
 
 
 class TokenStore:
     """The storage directory: the append-only token history, one file per
-    token, the benchmark dataset, and the audit and detection logs. No
-    other module touches a file in it.
+    token, the benchmark dataset, the audit and detection logs, and the
+    lock file of its one writer (see lock). No other module touches a file
+    in it.
 
     Token file names are `<created_at unix seconds>-<token_id>.token`.
     Token files and `dataset.json` hold the canonical serialization
@@ -379,15 +383,16 @@ class TokenStore:
 
     A reload reads the dataset, indexes the history from the file names
     and reads only the current token's body; a predecessor's body is read
-    on first use, once. A file that cannot be parsed, or a token body that
-    disagrees with its file name, is skipped with a warning and reads as
-    absent from then on.
+    on first use, once, and reads as absent, with a warning, when it
+    cannot be parsed or disagrees with its file name. A `.token` file named
+    otherwise, or a newest token that fails so, raises ValueError: an older
+    token never stands in for the newest one.
     """
 
     def __init__(self, directory):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._log_lock = threading.Lock()
         self._history: list[_Entry] = []
         self._by_id: dict[str, _Entry] = {}
@@ -398,29 +403,16 @@ class TokenStore:
         self._load()
 
     def _load(self):
-        keyed = []
+        history = []
         for path in self._dir.glob("*.token"):
             match = _FILE_NAME.fullmatch(path.name)
-            if match:
-                created_at = datetime.fromtimestamp(int(match[1]), timezone.utc)
-                entry = _Entry(created_at, match[2], path)
-            else:
-                # a name that says nothing: read the body now, as it sorts by it
-                token = self._read(path, BehaviourToken.from_dict)
-                if token is None:
-                    continue
-                entry = _Entry(token.created_at, token.token_id, path, token)
-            keyed.append(((entry.created_at, path.stat().st_mtime_ns, path.name), entry))
-        keyed.sort(key=lambda pair: pair[0])
-        # one entry per id: a copy under another name loses to the newer one
-        last = {entry.token_id: entry for _, entry in keyed}
-        history = [entry for _, entry in keyed if last[entry.token_id] is entry]
-        # the newest readable file is the current token
-        while history and history[-1].token is None:
-            newest = history[-1]
-            newest.token = self._read(newest.path, newest.parse)
-            if newest.token is None:
-                history.pop()
+            if match is None:
+                raise ValueError(f"{path} is not named <unix seconds>-<token id>.token")
+            created_at = datetime.fromtimestamp(int(match[1]), timezone.utc)
+            history.append(_Entry(created_at, match[2], path))
+        history.sort(key=lambda e: (e.created_at, e.path.stat().st_mtime_ns, e.path.name))
+        if history:  # the newest file is the current token, or nothing starts
+            history[-1].token = self._read(history[-1].path, history[-1].parse, strict=True)
         self._set_history(history)
 
     def _set_history(self, history: list[_Entry]):
@@ -428,36 +420,64 @@ class TokenStore:
         self._by_id = {entry.token_id: entry for entry in history}
 
     @staticmethod
-    def _read(path: Path, parse, kind: str = "token"):
-        """parse(the JSON in `path`), or None, with a warning naming the
-        file, when it cannot be read or parse rejects it."""
+    def _read(path: Path, parse, kind: str = "token", strict: bool = False):
+        """parse(the JSON in `path`). A file that cannot be read, or that
+        parse rejects, raises a ValueError naming it when `strict`, and
+        otherwise reads as None with a warning naming it."""
         try:
             return parse(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, ValueError, KeyError, TypeError) as exc:
+            if strict:
+                raise ValueError(f"unreadable {kind} file {path}: {exc}") from exc
             log.warning("skipping unreadable %s file %s: %s", kind, path, exc)
             return None
 
     @staticmethod
-    def _write(path: Path, obj):
-        """Replace `path` with canonical_json(obj) + LF: write `<name>.tmp`
-        beside it, fsync, then rename it over `path`. A failed write leaves
-        the previous file as it was and at most a stray `.tmp`, which
-        nothing reads and the next write replaces."""
+    def _stage(path: Path, obj) -> Path:
+        """Write canonical_json(obj) + LF to `<name>.tmp` beside `path` and
+        fsync it; renaming that over `path` replaces the file atomically. A
+        failed write leaves the previous file as it was and at most a stray
+        `.tmp`, which nothing reads and the next write replaces."""
         tmp = path.with_name(path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
             handle.write(canonical_json(obj) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        return tmp
+
+    @staticmethod
+    @contextmanager
+    def lock(directory):
+        """Hold `directory` as its one writer: an exclusive flock on its lock
+        file, released on exit or when the process ends. Taken before a
+        store opens the directory, so what it reads is what the last
+        writer left. A second holder, in this process or another, gets a
+        ValueError naming the directory."""
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        with (directory / LOCK_FILE).open("a") as handle:
+            try:
+                fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                message = f"storage directory {directory} is held by another writer"
+                raise ValueError(message) from None
+            yield
 
     def append(self, name: str, record: dict):
         """Append `record` as one canonical JSON line to the log `name`."""
         with self._log_lock, (self._dir / name).open("a", encoding="utf-8") as handle:
             handle.write(canonical_json(record) + "\n")
 
-    def save_dataset(self, dataset: BenchmarkDataset):
+    def save_dataset(self, dataset: BenchmarkDataset, token: BehaviourToken | None = None):
+        """Replace the dataset, and store `token` with it when given. The
+        new dataset file is renamed into place only once the token is
+        stored, so a failed write leaves the previous baseline whole."""
+        path = self._dir / DATASET_FILE
         with self._lock:
-            self._write(self._dir / DATASET_FILE, dataset.to_dict())
+            staged = self._stage(path, dataset.to_dict())
+            if token is not None:
+                self.store(token)
+            os.replace(staged, path)
             self.dataset = dataset
 
     def baseline(self):
@@ -496,7 +516,7 @@ class TokenStore:
     def store(self, token: BehaviourToken) -> Path:
         with self._lock:
             path = self.path_for(token)
-            self._write(path, token.to_dict())
+            os.replace(self._stage(path, token.to_dict()), path)
             history = [e for e in self._history if e.token_id != token.token_id]
             history.append(_Entry(token.created_at, token.token_id, path, token))
             self._set_history(history)

@@ -52,13 +52,6 @@ class TunerMatrix:
             "  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "label_grid": list(self.label_grid),
-            "confidence_grid": list(self.confidence_grid),
-            "counts": [list(row) for row in self.counts],
-        }
-
 
 def tune_thresholds(
     old_snapshot,

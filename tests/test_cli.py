@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import timedelta
 
 import pytest
 import requests
@@ -541,6 +542,61 @@ class TestServeAndTick:
         assert proc.returncode == 2, err
         assert err.startswith("drift-guard: ") and str(storage) in err
         assert "Traceback" not in err
+
+    def test_unreadable_newest_token_is_exit_2(self, tmp_path):
+        storage = tmp_path / "storage"
+        dataset = BenchmarkDataset.create("minted", refs.FIXTURE_ITEMS)
+        old, new = refs.fixture_snapshots()
+        store = TokenStore(storage)
+        store.save_dataset(dataset)
+        store.store(mint_token("vision-main", dataset, refs.FIXTURE_RULES, old, T0))
+        newest = store.store(
+            mint_token("vision-main", dataset, refs.FIXTURE_RULES, new, T0 + timedelta(seconds=1))
+        )
+        newest.write_bytes(newest.read_bytes()[:100])
+        before = {path.name: path.read_bytes() for path in storage.iterdir()}
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate")
+        proc = spawn(["serve", "--config", str(config_path)])
+        try:
+            out, err = proc.communicate(timeout=15)
+        finally:
+            proc.kill()  # a proxy that started on an older token
+        assert proc.returncode == 2, err
+        assert err.startswith("drift-guard: ") and str(newest) in err
+        assert "Traceback" not in err
+        after = {path.name: path.read_bytes() for path in storage.iterdir()}
+        assert after == {**before, "writer.lock": b""}
+
+    def test_init_beside_a_serving_proxy_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # init's `listen` points where nothing listens, so it would bootstrap
+        # the storage that the running proxy owns
+        storage = tmp_path / "storage"
+        manifest, other = tmp_path / "mini.tsv", tmp_path / "other.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\t\n", encoding="utf-8")
+        other.write_text("http://images.test/b.jpg\tdog\t\n", encoding="utf-8")
+        with SimulatorServer(parse_script(DRIFT_SCRIPT, seed=4)) as sim:
+            configs = []
+            for name in ("serve", "init"):
+                (tmp_path / name).mkdir()
+                configs.append(write_config(tmp_path / name, sim.endpoint, storage_path=storage))
+            (serve_config, listen), (init_config, _) = configs
+            assert main(["init", "--manifest", str(manifest), "--config", str(serve_config)]) == 0
+            before = {path.name: path.read_bytes() for path in storage.iterdir()}
+            proc = spawn(["serve", "--config", str(serve_config)])
+            try:
+                wait_http(f"http://{listen}/token")
+                capsys.readouterr()
+                code = main(["init", "--manifest", str(other), "--config", str(init_config)])
+            finally:
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=15)
+        assert proc.returncode == 0, err
+        assert code == 2
+        message = f"drift-guard: storage directory {storage} is held by another writer\n"
+        assert capsys.readouterr().err == message
+        after = {path.name: path.read_bytes() for path in storage.iterdir()}
+        assert {name: after[name] for name in before} == before
+        assert set(after) - set(before) <= {"writer.lock"}
 
 
 class TestSimulate:

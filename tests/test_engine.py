@@ -326,6 +326,31 @@ class TestStorageFiles:
         assert restarted.initialized and restarted.store.current == first
         assert restarted.annotate(URL, None, ("etag", first.token_id))[0] == 200
 
+    def test_failed_reinitialisation_keeps_the_previous_baseline(self, tmp_path, monkeypatch):
+        clock = [T0]
+        engine = make_engine(tmp_path, now_fn=lambda: clock[0])
+        first = engine.initialize_benchmark(refs.FIXTURE_ITEMS, refs.FIXTURE_RULES)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        real_open = pathlib.Path.open
+
+        def full_disk_for_tokens(path, mode="r", *args, **kwargs):
+            if "w" in mode and ".token" in path.name:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", full_disk_for_tokens)
+        # a new dataset, a second later: its token cannot be written
+        clock[0] = T0 + timedelta(seconds=1)
+        with pytest.raises(OSError):
+            engine.initialize_benchmark(refs.FIXTURE_ITEMS[:2], refs.FIXTURE_RULES)
+        monkeypatch.undo()
+
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".tmp"}
+        assert after == before
+        for served in (engine, make_engine(tmp_path)):
+            assert served.initialized and served.store.current == first
+            assert served.annotate(URL, None, ("etag", first.token_id))[0] == 200
+
     def test_audit_records_are_stamped_by_the_engine_clock(self, tmp_path):
         engine = make_engine(tmp_path, now_fn=lambda: T1)
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)

@@ -6,6 +6,7 @@ from http.client import HTTPConnection, HTTPException
 
 import pytest
 
+from driftguard import httpbase
 from driftguard.httpbase import MAX_BODY_BYTES, JsonHttpServer, post_json
 
 from netutil import free_port
@@ -110,6 +111,22 @@ class TestServer:
         assert reply.startswith(b"HTTP/1.1 %d " % status)
         assert b"\r\nConnection: close\r\n" in reply
         assert elapsed < 1
+        assert server.seen == []
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"",
+            b"POST /x HTTP/1.1\r\nHost: x\r\n",
+            b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n{}",
+        ],
+        ids=["idle", "half-sent headers", "short body"],
+    )
+    def test_stalled_connection_is_closed_after_the_timeout(self, monkeypatch, head):
+        monkeypatch.setattr(httpbase, "SOCKET_TIMEOUT_SECS", 0.3, raising=False)
+        with Recorder() as server:
+            reply, elapsed = raw_exchange(server.port, head)
+        assert reply == b"" and 0.25 < elapsed < 1
         assert server.seen == []
 
     def test_body_of_the_largest_accepted_length_is_read(self):

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from datetime import datetime, timezone
@@ -22,7 +23,7 @@ from driftguard.scheduler import (
 )
 from driftguard.simulator import SimulatorServer, parse_script
 from driftguard.token import validate
-from driftguard.types import ContractError, ThresholdRules
+from driftguard.types import ContractError, ThresholdRules, utc_now_second
 from driftguard.upstream import UpstreamClient
 
 from netutil import CallbackReceiver, InFlightGauge
@@ -193,6 +194,48 @@ class TestRunDetection:
             init_engine(engine)
             engine.run_detection(TRIGGER_MANUAL)
             assert not receiver.wait(0.3)
+
+    def test_concurrent_calls_share_at_most_two_sweeps(self, sim, tmp_path):
+        _, engine = make_engine(sim, tmp_path)
+        init_engine(engine)
+        sweeps = []
+        everyone_waits = threading.Event()
+        probe = engine.client.snapshot_benchmark
+
+        def counted(dataset, rules):
+            sweeps.append(threading.current_thread().name)
+            if len(sweeps) == 1:  # hold the first sweep until every call queued
+                everyone_waits.wait(5)
+            return probe(dataset, rules)
+
+        engine.client.snapshot_benchmark = counted
+        runs = {}
+
+        def call(index):
+            called = utc_now_second()
+            runs[index] = (called, engine.run_detection(TRIGGER_MANUAL))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.3)
+            everyone_waits.set()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        log_path = tmp_path / "storage" / "detections.log"
+        assert len(runs) == 4 and len(sweeps) <= 2
+        assert len(log_path.read_text(encoding="utf-8").splitlines()) == len(sweeps)
+        assert all(run.started_at >= called for called, run in runs.values())
+        # a call made after those runs ended gets a run of its own
+        later = engine.run_detection(TRIGGER_MANUAL)
+        assert all(later is not run for _, run in runs.values())
+        assert len(log_path.read_text(encoding="utf-8").splitlines()) == len(sweeps)
 
     def test_violation_counter_resets_on_every_run(self, sim, tmp_path):
         _, engine = make_engine(sim, tmp_path, z=100)

@@ -527,10 +527,21 @@ class TestTokenStore:
         bounded = store.newest_at_or_before(later.created_at, upto=third)
         assert bounded.token_id == second.token_id
 
-    def test_unreadable_files_are_skipped(self, tmp_path):
-        (tmp_path / "junk.token").write_text("{not json", encoding="utf-8")
-        store = TokenStore(tmp_path)
-        assert store.current is None
+    def test_lock_admits_one_writer_at_a_time(self, tmp_path):
+        with TokenStore.lock(tmp_path):
+            with pytest.raises(ValueError, match=f"storage directory {tmp_path} is held"):
+                with TokenStore.lock(tmp_path):
+                    pass
+        with TokenStore.lock(tmp_path):
+            pass
+
+    @pytest.mark.parametrize(
+        "name", ["junk.token", "1704067200-0123456789ABCDEF.token", f"{'9' * 20}-{'0' * 16}.token"]
+    )
+    def test_token_file_with_another_name_is_refused(self, tmp_path, name):
+        (tmp_path / name).write_text("{not json", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{name} is not named"):
+            TokenStore(tmp_path)
 
 
 def count_body_reads(monkeypatch) -> list:
@@ -617,17 +628,18 @@ class TestLazyHistory:
         assert len(warnings) == 1 and str(other) in warnings[0]
         assert tokens[0].token_id in warnings[0]
 
-    def test_unreadable_newest_file_falls_back_to_the_previous_token(self, tmp_path, caplog):
-        caplog.set_level(logging.WARNING, logger="driftguard.token")
+    @pytest.mark.parametrize("damage", ["truncated", "renamed"])
+    def test_unreadable_newest_file_is_refused(self, tmp_path, damage):
         tokens = store_tokens(tmp_path, 3)
         newest = TokenStore(tmp_path).path_for(tokens[-1])
-        newest.write_text(newest.read_text(encoding="utf-8")[:100], encoding="utf-8")
-        store = TokenStore(tmp_path)
-        assert store.current == tokens[1]
-        assert store.find(tokens[-1].token_id) is None
-        assert [t.token_id for t in store.history()] == [t.token_id for t in tokens[:2]]
-        warnings = token_warnings(caplog)
-        assert len(warnings) == 1 and str(newest) in warnings[0]
+        if damage == "truncated":
+            newest.write_text(newest.read_text(encoding="utf-8")[:100], encoding="utf-8")
+        else:  # a body that disagrees with its name
+            newest = newest.rename(newest.with_name(f"{int(T1.timestamp())}-{'f' * 16}.token"))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=f"unreadable token file {newest}"):
+            TokenStore(tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_concurrent_first_uses_parse_each_body_once(self, tmp_path, monkeypatch, caplog):
         caplog.set_level(logging.WARNING, logger="driftguard.token")
@@ -683,17 +695,14 @@ class TestLazyHistory:
         assert store.newest_at_or_before(tokens[1].created_at) == tokens[1]
         assert len(reads) == 3
 
-    def test_file_without_the_standard_name_is_read_at_start(self, tmp_path, monkeypatch):
+    def test_file_without_the_standard_name_is_refused(self, tmp_path):
+        store_tokens(tmp_path, 2)
         token = make_token(now=T1)
         (tmp_path / "copied.token").write_text(
             json.dumps(token.to_dict(), sort_keys=True) + "\n", encoding="utf-8"
         )
-        tokens = store_tokens(tmp_path, 2)
-        reads = count_body_reads(monkeypatch)
-        store = TokenStore(tmp_path)
-        assert store.current == token
-        assert reads == [token.token_id]
-        assert store.find(tokens[0].token_id) == tokens[0]
+        with pytest.raises(ValueError, match="copied.token is not named"):
+            TokenStore(tmp_path)
 
 
 def test_compute_token_id_uses_all_fields():
