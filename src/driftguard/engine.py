@@ -126,7 +126,8 @@ class GuardEngine:
                 f"all {len(snapshot)} benchmark requests failed against {self.client.endpoint}"
             )
         token = mint_token(self.config.service_id, dataset, rules, snapshot, self._now())
-        self.store.save_dataset(dataset, token)
+        self.store.save_dataset(dataset)
+        self.store.store(token)
         self._audit(
             {
                 "kind": "benchmark_initialized",
@@ -174,8 +175,8 @@ class GuardEngine:
     def _verdict(self, requested, current, dataset):
         """validate(requested, current, dataset) and its encoded 412 body,
         computed once per requested token while `current` stays current.
-        Tokens are immutable and baseline() pins the dataset to the current
-        token's fingerprint, so the two token ids decide the result; the
+        Tokens are immutable and baseline() reads the dataset the current
+        token names, so the two token ids decide the result; the
         cache holds at most one entry per token in history."""
         current_id, verdicts = self._verdicts
         if current_id != current.token_id:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
 
-from .types import ContractError, read_utf8
+from .types import ContractError
 
 
 class OntologyChangeKind(str, Enum):
@@ -44,20 +44,6 @@ class OntologyTaxonomy:
         for child, parent in pairs:
             parents.setdefault(child, set()).add(parent)
         return cls(parents={c: frozenset(p) for c, p in parents.items()})
-
-    @classmethod
-    def from_tsv(cls, path) -> "OntologyTaxonomy":
-        """Load `child<TAB>parent` lines; blank lines and # comments skipped."""
-        pairs = []
-        for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise ContractError(f"{path}:{lineno}: expected `child<TAB>parent`")
-            pairs.append((fields[0], fields[1]))
-        return cls.from_pairs(pairs)
 
     def is_ancestor(self, ancestor: str, descendant: str) -> bool:
         """True when `ancestor` is reachable from `descendant` via is-a edges."""

@@ -41,7 +41,9 @@ log = logging.getLogger(__name__)
 
 TOKEN_ID_LENGTH = 16
 
-DATASET_FILE = "dataset.json"
+# Earlier versions kept one dataset.json. It is read, never written: a loader,
+# not a migration, which would write from the constructor without the writer lock.
+LEGACY_DATASET_FILE = "dataset.json"
 AUDIT_FILE = "audit.log"
 DETECTIONS_FILE = "detections.log"
 LOCK_FILE = "writer.lock"
@@ -75,14 +77,6 @@ class ValidationError:
             "error_type": self.error_type,
             "error_data": self.error_data,
         }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "ValidationError":
-        return cls(
-            error_code=data["error_code"],
-            error_type=data["error_type"],
-            error_data=data["error_data"],
-        )
 
 
 @dataclass(frozen=True)
@@ -370,21 +364,22 @@ _FILE_NAME = re.compile(rf"(\d{{1,11}})-([0-9a-f]{{{TOKEN_ID_LENGTH}}})\.token")
 
 class TokenStore:
     """The storage directory: the append-only token history, one file per
-    token, the benchmark dataset, the audit and detection logs, and the
+    token, the benchmark datasets, the audit and detection logs, and the
     lock file of its one writer (see lock). No other module touches a file
     in it.
 
-    Token file names are `<created_at unix seconds>-<token_id>.token`.
-    Token files and `dataset.json` hold the canonical serialization
-    (sorted keys, UTF-8, LF) and are replaced atomically, so a crash
-    mid-write leaves the previous file whole. The newest token is the
-    current one. Reload order for same-second mints falls back to file
-    mtime, which matches write order.
+    Token file names are `<created_at unix seconds>-<token_id>.token`, and
+    a token names its dataset file, `dataset-<fingerprint>.json`. Both hold
+    the canonical serialization (sorted keys, UTF-8, LF) and are replaced
+    atomically and durably (see _write). A dataset is written before any
+    token that names it, so a token's rename is the one commit point. The
+    newest token is the current one. Reload order for same-second mints
+    falls back to file mtime, which matches write order.
 
-    A reload reads the dataset, indexes the history from the file names
-    and reads only the current token's body; a predecessor's body is read
-    on first use, once, and reads as absent, with a warning, when it
-    cannot be parsed or disagrees with its file name. A `.token` file named
+    A reload indexes the history from the file names and reads only the
+    current token's body and dataset; a predecessor's body is read on
+    first use, once, and reads as absent, with a warning, when it cannot
+    be parsed or disagrees with its file name. A `.token` file named
     otherwise, or a newest token that fails so, raises ValueError: an older
     token never stands in for the newest one.
     """
@@ -392,14 +387,11 @@ class TokenStore:
     def __init__(self, directory):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._log_lock = threading.Lock()
         self._history: list[_Entry] = []
         self._by_id: dict[str, _Entry] = {}
-        dataset_path = self._dir / DATASET_FILE
-        self.dataset: BenchmarkDataset | None = None
-        if dataset_path.is_file():
-            self.dataset = self._read(dataset_path, BenchmarkDataset.from_dict, "dataset")
+        self._datasets: dict[str, BenchmarkDataset] = {}
         self._load()
 
     def _load(self):
@@ -412,7 +404,13 @@ class TokenStore:
             history.append(_Entry(created_at, match[2], path))
         history.sort(key=lambda e: (e.created_at, e.path.stat().st_mtime_ns, e.path.name))
         if history:  # the newest file is the current token, or nothing starts
-            history[-1].token = self._read(history[-1].path, history[-1].parse, strict=True)
+            current = history[-1].token = self._read(history[-1].path, history[-1].parse, strict=True)
+            path = self._dataset_path(current.dataset_fingerprint)
+            if not path.exists():
+                path = self._dir / LEGACY_DATASET_FILE
+            dataset = self._read(path, BenchmarkDataset.from_dict, "dataset") if path.exists() else None
+            if dataset is not None:  # baseline() finds it only under the token's fingerprint
+                self._datasets[dataset.fingerprint] = dataset
         self._set_history(history)
 
     def _set_history(self, history: list[_Entry]):
@@ -432,18 +430,23 @@ class TokenStore:
             log.warning("skipping unreadable %s file %s: %s", kind, path, exc)
             return None
 
-    @staticmethod
-    def _stage(path: Path, obj) -> Path:
-        """Write canonical_json(obj) + LF to `<name>.tmp` beside `path` and
-        fsync it; renaming that over `path` replaces the file atomically. A
-        failed write leaves the previous file as it was and at most a stray
+    def _write(self, path: Path, obj):
+        """Replace `path` with canonical_json(obj) + LF: write `<name>.tmp`
+        beside it, fsync it, rename it over `path`, then fsync the
+        directory, which POSIX needs before a rename survives power loss. A
+        failed write leaves the previous file whole and at most a stray
         `.tmp`, which nothing reads and the next write replaces."""
         tmp = path.with_name(path.name + ".tmp")
         with tmp.open("w", encoding="utf-8") as handle:
             handle.write(canonical_json(obj) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        return tmp
+        os.replace(tmp, path)
+        directory = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @staticmethod
     @contextmanager
@@ -468,29 +471,22 @@ class TokenStore:
         with self._log_lock, (self._dir / name).open("a", encoding="utf-8") as handle:
             handle.write(canonical_json(record) + "\n")
 
-    def save_dataset(self, dataset: BenchmarkDataset, token: BehaviourToken | None = None):
-        """Replace the dataset, and store `token` with it when given. The
-        new dataset file is renamed into place only once the token is
-        stored, so a failed write leaves the previous baseline whole."""
-        path = self._dir / DATASET_FILE
+    def _dataset_path(self, fingerprint: str) -> Path:
+        return self._dir / f"dataset-{fingerprint}.json"
+
+    def save_dataset(self, dataset: BenchmarkDataset):
+        """Store `dataset` under its fingerprint. It becomes the baseline
+        once a token naming it is stored."""
         with self._lock:
-            staged = self._stage(path, dataset.to_dict())
-            if token is not None:
-                self.store(token)
-            os.replace(staged, path)
-            self.dataset = dataset
+            self._write(self._dataset_path(dataset.fingerprint), dataset.to_dict())
+            self._datasets[dataset.fingerprint] = dataset
 
     def baseline(self):
-        """(current token, dataset), each read once, or None when the proxy
-        has no usable baseline. A fingerprint mismatch means a
-        re-initialisation is mid-flight; until both halves agree there is
-        nothing to serve or detect against."""
-        current, dataset = self.current, self.dataset
-        if current is None or dataset is None:
-            return None
-        if current.dataset_fingerprint != dataset.fingerprint:
-            return None
-        return current, dataset
+        """(current token, the dataset it names), or None when the proxy
+        has no usable baseline: no token yet, or its dataset unreadable."""
+        current = self.current
+        dataset = current and self._datasets.get(current.dataset_fingerprint)
+        return None if dataset is None else (current, dataset)
 
     def _token(self, entry: _Entry) -> BehaviourToken | None:
         """The entry's token, read on first use under the lock; None when it
@@ -516,7 +512,7 @@ class TokenStore:
     def store(self, token: BehaviourToken) -> Path:
         with self._lock:
             path = self.path_for(token)
-            os.replace(self._stage(path, token.to_dict()), path)
+            self._write(path, token.to_dict())
             history = [e for e in self._history if e.token_id != token.token_id]
             history.append(_Entry(token.created_at, token.token_id, path, token))
             self._set_history(history)

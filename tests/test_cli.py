@@ -14,8 +14,8 @@ import requests
 from driftguard.cli import main
 from driftguard.corpus import write_corpus
 from driftguard.simulator import SimulatorServer, parse_script
-from driftguard.token import DATASET_FILE, TokenStore, mint_token
-from driftguard.types import BenchmarkDataset, canonical_json
+from driftguard.token import TokenStore, mint_token
+from driftguard.types import BenchmarkDataset
 
 import reference_fixtures as refs
 from gen_strategies import T0
@@ -481,8 +481,9 @@ class TestServeAndTick:
         minted = BenchmarkDataset.create("minted", refs.FIXTURE_ITEMS)
         other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
         snapshot, _ = refs.fixture_snapshots()
-        TokenStore(storage).store(mint_token("vision-main", minted, refs.FIXTURE_RULES, snapshot, T0))
-        (storage / DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
+        store = TokenStore(storage)
+        store.store(mint_token("vision-main", minted, refs.FIXTURE_RULES, snapshot, T0))
+        store.save_dataset(other)
         config_path, listen = write_config(tmp_path, "http://127.0.0.1:1/annotate")
         proc = spawn(["serve", "--config", str(config_path)])
         try:

@@ -1,11 +1,14 @@
 """The engine without HTTP: the per-token verdict cache (a stale token's
 412 is computed once per current token, and serving it from the cache
-changes nothing a client or the z counter can see) and the storage files."""
+changes nothing a client or the z counter can see), the storage files, and
+the states a crash leaves them in."""
 
 import errno
 import json
 import logging
+import os
 import pathlib
+import stat
 import tempfile
 from dataclasses import replace
 from datetime import timedelta
@@ -17,7 +20,8 @@ from hypothesis import given
 from driftguard.config import ProxyConfig
 from driftguard.engine import GuardEngine
 from driftguard.httpbase import encode_json
-from driftguard.token import DATASET_FILE, BehaviourToken, mint_token, validate
+from driftguard.scheduler import OUTCOME_ROTATED
+from driftguard.token import LEGACY_DATASET_FILE, BehaviourToken, mint_token, validate
 from driftguard.types import (
     BenchmarkDataset,
     LabelledResponse,
@@ -35,13 +39,19 @@ URL = "http://images.test/a.jpg"
 
 
 class CannedUpstream:
-    """Answers every labelling call, and every item of a benchmark
-    snapshot, with an empty successful response."""
+    """Answers every labelling call with an empty successful response, and
+    each benchmark snapshot with the next of `snapshots`, or, when none is
+    left, with an empty successful response per item."""
+
+    def __init__(self):
+        self.snapshots = []
 
     def annotate(self, request):
         return LabelledResponse(request.url, (), utc_now_second())
 
     def snapshot_benchmark(self, dataset, rules):
+        if self.snapshots:
+            return tuple(self.snapshots.pop(0))
         return tuple(LabelledResponse(item.image_ref, (), utc_now_second()) for item in dataset.items)
 
 
@@ -60,9 +70,13 @@ def make_engine(storage, z=1000, now_fn=utc_now_second):
 def install(engine, *tokens):
     """Give the engine a baseline: the fixture dataset and `tokens` as its
     history, the last one current."""
-    engine.store.dataset = DATASET
+    engine.store.save_dataset(DATASET)
     for token in tokens:
         engine.store.store(token)
+
+
+def dataset_file(storage, dataset=DATASET):
+    return storage / f"dataset-{dataset.fingerprint}.json"
 
 
 def failed(response):
@@ -187,7 +201,6 @@ class TestRestart:
 
     def history(self, storage):
         engine = make_engine(storage)
-        engine.store.save_dataset(DATASET)
         old = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
         install(engine, old, current)
@@ -227,7 +240,7 @@ class TestStorageFiles:
         engine.store.save_dataset(DATASET)
         path = engine.store.store(token)
         assert path.read_text(encoding="utf-8") == canonical_json(token.to_dict()) + "\n"
-        dataset_text = (tmp_path / DATASET_FILE).read_text(encoding="utf-8")
+        dataset_text = dataset_file(tmp_path).read_text(encoding="utf-8")
         assert dataset_text == canonical_json(DATASET.to_dict()) + "\n"
 
     def test_indented_storage_directory_still_loads(self, tmp_path):
@@ -238,22 +251,26 @@ class TestStorageFiles:
         for token in (old, current):
             name = f"{int(token.created_at.timestamp())}-{token.token_id}.token"
             (tmp_path / name).write_text(indented(token.to_dict()), encoding="utf-8")
-        (tmp_path / DATASET_FILE).write_text(indented(DATASET.to_dict()), encoding="utf-8")
+        (tmp_path / LEGACY_DATASET_FILE).write_text(indented(DATASET.to_dict()), encoding="utf-8")
         engine = make_engine(tmp_path)
         assert engine.initialized
-        assert engine.store.dataset == DATASET
+        assert engine.store.baseline()[1] == DATASET
         assert [t.token_id for t in engine.store.history()] == [old.token_id, current.token_id]
         assert engine.store.current == current
         assert engine.annotate(URL, None, ("etag", current.token_id))[0] == 200
         assert engine.annotate(URL, None, ("etag", old.token_id))[0] == 412
+        # read in place, never migrated
+        assert [p.name for p in tmp_path.glob("dataset*")] == [LEGACY_DATASET_FILE]
 
     def test_wrong_typed_dataset_file_is_skipped_with_a_warning(self, tmp_path, caplog):
-        caplog.set_level(logging.WARNING, logger="driftguard.token")
-        path = tmp_path / DATASET_FILE
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        install(make_engine(tmp_path), current)
+        path = dataset_file(tmp_path)
         path.write_text('{"dataset_id": "x", "items": 5, "fingerprint": "y"}\n', encoding="utf-8")
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
         engine = make_engine(tmp_path)
         assert not engine.initialized
-        status, _, body = engine.annotate(URL, None, ("etag", "0123456789abcdef"))
+        status, _, body = engine.annotate(URL, None, ("etag", current.token_id))
         assert (status, body["error_code"]) == (412, 0)
         warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
         assert len(warnings) == 1 and str(path) in warnings[0]
@@ -261,8 +278,9 @@ class TestStorageFiles:
     def test_dataset_of_another_token_is_not_initialized_after_restart(self, tmp_path):
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
         install(make_engine(tmp_path), current)
+        dataset_file(tmp_path).unlink()
         other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
-        (tmp_path / DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
+        (tmp_path / LEGACY_DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
         restarted = make_engine(tmp_path)
         assert restarted.store.current == current
         assert not restarted.initialized
@@ -305,10 +323,11 @@ class TestStorageFiles:
 
         monkeypatch.setattr(pathlib.Path, "open", tearing_open)
         # a new dataset whose file write fails half-way
-        torn[:] = [DATASET_FILE]
+        torn[:] = ["dataset-"]
         with pytest.raises(OSError):
             engine.initialize_benchmark(refs.FIXTURE_ITEMS[:2], refs.FIXTURE_RULES)
-        assert (tmp_path / DATASET_FILE).read_bytes() == before[DATASET_FILE]
+        path = dataset_file(tmp_path)
+        assert path.read_bytes() == before[path.name]
         # the same dataset again, a second later: its token write fails half-way
         torn[:] = [".token"]
         clock[0] = T0 + timedelta(seconds=1)
@@ -345,8 +364,11 @@ class TestStorageFiles:
             engine.initialize_benchmark(refs.FIXTURE_ITEMS[:2], refs.FIXTURE_RULES)
         monkeypatch.undo()
 
+        # the new dataset's file may be written; it is no baseline without its token
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".tmp"}
-        assert after == before
+        assert {name: after[name] for name in before} == before
+        other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
+        assert set(after) - set(before) <= {dataset_file(tmp_path, other).name}
         for served in (engine, make_engine(tmp_path)):
             assert served.initialized and served.store.current == first
             assert served.annotate(URL, None, ("etag", first.token_id))[0] == 200
@@ -361,3 +383,120 @@ class TestStorageFiles:
         records = [json.loads(line) for line in lines]
         assert [r["kind"] for r in records] == ["precondition_failed", "annotate"]
         assert {r["ts"] for r in records} == {iso_ts(T1)}
+
+
+class Crash(BaseException):
+    """The process dies here: no `except Exception` in the engine stops it."""
+
+
+class CrashPoints:
+    """Counts the renames (`replace`) and directory fsyncs (`dir_fsync`)
+    the store makes, and raises Crash in place of call number `crash_at`
+    (from 0) of `kind`. Records the last token file renamed into place."""
+
+    def __init__(self, monkeypatch, kind, crash_at=None):
+        self.kind, self.crash_at = kind, crash_at
+        self.calls = {"replace": 0, "dir_fsync": 0}
+        self.committed = None
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            self.reach("replace")
+            real_replace(src, dst)
+            if str(dst).endswith(".token"):
+                self.committed = pathlib.Path(dst).name
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                self.reach("dir_fsync")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+
+    def reach(self, kind):
+        if kind == self.kind and self.calls[kind] == self.crash_at:
+            raise Crash(f"{kind} #{self.crash_at}")
+        self.calls[kind] += 1
+
+
+def init_at(moment, items=refs.FIXTURE_ITEMS, snapshot=None):
+    def step(engine, clock):
+        clock[0] = moment
+        engine.client.snapshots[:] = [] if snapshot is None else [snapshot]
+        engine.initialize_benchmark(items, refs.FIXTURE_RULES)
+
+    return step
+
+
+def rotate_at(moment, snapshot):
+    def step(engine, clock):
+        clock[0] = moment
+        engine.client.snapshots[:] = [snapshot]
+        assert engine.run_detection("manual").outcome == OUTCOME_ROTATED
+
+    return step
+
+
+SECOND = timedelta(seconds=1)
+# name: (steps that commit before the crash window, steps cut at each point)
+CRASH_WORKFLOWS = {
+    "first init": ((), (init_at(T0),)),
+    "re-init, same manifest": ((init_at(T0),), (init_at(T0 + SECOND),)),
+    "re-init, another manifest": ((init_at(T0),), (init_at(T0 + SECOND, refs.FIXTURE_ITEMS[:2]),)),
+    "rotation": ((init_at(T0, snapshot=OLD),), (rotate_at(T1, NEW),)),
+    "two rotations in a second": (
+        (init_at(T0, snapshot=OLD),),
+        (rotate_at(T1, NEW), rotate_at(T1, OLD)),
+    ),
+}
+
+
+class TestCrashStates:
+    """Crash-state enumeration, after ALICE (Pillai et al., OSDI 2014) and
+    CrashMonkey (Mohan et al., OSDI 2018): each workflow is cut at every
+    rename and, separately, at every directory fsync. A fresh engine on
+    what is left must start, and once a token has been committed it must
+    serve the last committed one. A process death is what is simulated;
+    power loss, which can drop a rename whose directory was not fsynced,
+    is not."""
+
+    @staticmethod
+    def run(storage, monkeypatch, workflow, kind, crash_at=None):
+        clock = [T0]
+        engine = make_engine(storage, now_fn=lambda: clock[0])
+        setup, steps = CRASH_WORKFLOWS[workflow]
+        for step in setup:
+            step(engine, clock)
+        committed = engine.store.current and engine.store.path_for(engine.store.current).name
+        with monkeypatch.context() as patch:
+            points = CrashPoints(patch, kind, crash_at)
+            try:
+                for step in steps:
+                    step(engine, clock)
+            except Crash:
+                assert crash_at is not None
+        return points, points.committed or committed
+
+    @pytest.mark.parametrize("kind", ["replace", "dir_fsync"])
+    @pytest.mark.parametrize("workflow", CRASH_WORKFLOWS)
+    def test_every_crash_state_restarts_on_the_last_committed_token(
+        self, tmp_path, monkeypatch, workflow, kind
+    ):
+        points, _ = self.run(tmp_path / "whole", monkeypatch, workflow, kind)
+        for crash_at in range(points.calls[kind] + 1):
+            storage = tmp_path / str(crash_at)
+            _, committed = self.run(storage, monkeypatch, workflow, kind, crash_at)
+            fresh = make_engine(storage)
+            if committed is None:
+                assert not fresh.initialized, crash_at
+                continue
+            assert fresh.initialized, crash_at
+            assert fresh.store.path_for(fresh.store.current).name == committed, crash_at
+            token_id = fresh.store.current.token_id
+            assert fresh.annotate(URL, None, ("etag", token_id))[0] == 200, crash_at
+
+    @pytest.mark.parametrize("workflow", CRASH_WORKFLOWS)
+    def test_every_rename_is_followed_by_a_directory_fsync(self, tmp_path, monkeypatch, workflow):
+        points, _ = self.run(tmp_path, monkeypatch, workflow, "replace")
+        assert points.calls["dir_fsync"] == points.calls["replace"] > 0

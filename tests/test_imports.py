@@ -65,7 +65,7 @@ def test_every_private_name_is_used(path):
     assert [(line, name) for line, name in private_definitions(tree) if name not in used] == []
 
 
-STORAGE_NAMES = ("dataset.json", "audit.log", "detections.log", ".token", "writer.lock")
+STORAGE_NAMES = ("dataset.json", "dataset-", "audit.log", "detections.log", ".token", "writer.lock")
 
 
 @pytest.mark.parametrize(

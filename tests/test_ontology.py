@@ -85,22 +85,6 @@ def test_multiple_parents_allowed():
     )
 
 
-def test_from_tsv(tmp_path):
-    path = tmp_path / "taxonomy.tsv"
-    path.write_text("# comment\ntennis\tsports\n\nwave\twater\n", encoding="utf-8")
-    taxonomy = OntologyTaxonomy.from_tsv(path)
-    assert classify_ontology_change("tennis", "sports", taxonomy) == (
-        OntologyChangeKind.GENERALISATION
-    )
-
-
-def test_from_tsv_reports_bad_lines(tmp_path):
-    path = tmp_path / "taxonomy.tsv"
-    path.write_text("tennis sports\n", encoding="utf-8")
-    with pytest.raises(ContractError, match="taxonomy.tsv:1"):
-        OntologyTaxonomy.from_tsv(path)
-
-
 _random_edges = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
         # child index always below parent index keeps the graph acyclic

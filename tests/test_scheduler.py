@@ -149,7 +149,7 @@ class TestRunDetection:
         old = init_engine(engine)
         sim.advance_epoch()
         engine.run_detection(TRIGGER_MANUAL)
-        error = validate(old, engine.store.current, engine.store.dataset)
+        error = validate(old, engine.store.current, engine.store.baseline()[1])
         assert error is not None
         assert error.error_code >= 7
 
