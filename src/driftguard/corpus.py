@@ -7,6 +7,7 @@ diffing; matching file names align the two sides without a live service.
 from __future__ import annotations
 
 import json
+import os
 import re
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,7 +17,6 @@ from .types import (
     BenchmarkItem,
     ContractError,
     LabelledResponse,
-    read_utf8,
     sha256_hex,
 )
 from .wire import parse_wire_response, serialize_wire
@@ -51,8 +51,16 @@ def write_corpus(directory, responses) -> list[Path]:
 
 
 def read_response_file(path, image_ref: str) -> LabelledResponse:
-    payload = json.loads(read_utf8(path))
-    return parse_wire_response(payload, image_ref=image_ref, captured_at=REPLAY_EPOCH)
+    """The response in one corpus file. A missing file raises ContractError
+    and one that is not UTF-8 a ValueError, each naming the file."""
+    try:
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+    except (FileNotFoundError, IsADirectoryError):
+        raise ContractError(f"missing corpus file {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return parse_wire_response(json.loads(text), image_ref=image_ref, captured_at=REPLAY_EPOCH)
 
 
 def load_corpus_pair(old_dir, new_dir, items=None):
@@ -65,13 +73,12 @@ def load_corpus_pair(old_dir, new_dir, items=None):
 
     Returns (dataset, old_snapshot, new_snapshot).
     """
-    old_dir, new_dir = Path(old_dir), Path(new_dir)
     if items is not None:
         items = list(items)
-        refs = [(item.image_ref, corpus_path(old_dir, item.image_ref).name) for item in items]
+        refs = [(item.image_ref, f"{sanitize_ref(item.image_ref)}.json") for item in items]
     else:
-        old_names = {p.name for p in old_dir.glob("*.json")}
-        new_names = {p.name for p in new_dir.glob("*.json")}
+        old_names = {p.name for p in Path(old_dir).glob("*.json")}
+        new_names = {p.name for p in Path(new_dir).glob("*.json")}
         if old_names != new_names:
             only_old = sorted(old_names - new_names)
             only_new = sorted(new_names - old_names)
@@ -85,13 +92,9 @@ def load_corpus_pair(old_dir, new_dir, items=None):
         refs = [(item.image_ref, name) for item, name in zip(items, names)]
 
     old_snapshot, new_snapshot = [], []
-    for (image_ref, name) in refs:
-        old_path, new_path = old_dir / name, new_dir / name
-        for path in (old_path, new_path):
-            if not path.is_file():
-                raise ContractError(f"missing corpus file {path}")
-        old_snapshot.append(read_response_file(old_path, image_ref))
-        new_snapshot.append(read_response_file(new_path, image_ref))
+    for image_ref, name in refs:
+        old_snapshot.append(read_response_file(os.path.join(old_dir, name), image_ref))
+        new_snapshot.append(read_response_file(os.path.join(new_dir, name), image_ref))
 
     dataset = BenchmarkDataset.create("replay", items)
     return dataset, old_snapshot, new_snapshot

@@ -405,12 +405,14 @@ class TokenStore:
         history.sort(key=lambda e: (e.created_at, e.path.stat().st_mtime_ns, e.path.name))
         if history:  # the newest file is the current token, or nothing starts
             current = history[-1].token = self._read(history[-1].path, history[-1].parse, strict=True)
-            path = self._dataset_path(current.dataset_fingerprint)
-            if not path.exists():
-                path = self._dir / LEGACY_DATASET_FILE
+            fingerprint = current.dataset_fingerprint
+            expected = self._dataset_path(fingerprint)
+            path = expected if expected.exists() else self._dir / LEGACY_DATASET_FILE
             dataset = self._read(path, BenchmarkDataset.from_dict, "dataset") if path.exists() else None
-            if dataset is not None:  # baseline() finds it only under the token's fingerprint
-                self._datasets[dataset.fingerprint] = dataset
+            if dataset is not None and dataset.fingerprint == fingerprint:
+                self._datasets[fingerprint] = dataset
+            elif dataset is not None or not path.exists():  # _read reported an unreadable one
+                log.warning("no file holds dataset %s of the current token: expected %s", fingerprint, expected)
         self._set_history(history)
 
     def _set_history(self, history: list[_Entry]):

@@ -85,6 +85,21 @@ class TestLoadPair:
         with pytest.raises(ContractError, match="missing corpus file"):
             load_corpus_pair(old_dir, new_dir, items)
 
+    def test_directory_in_place_of_a_file_is_a_missing_file(self, tmp_path):
+        old_dir, new_dir = self.write_pair(tmp_path)
+        path = corpus_path(new_dir, refs.FIXTURE_ITEMS[1].image_ref)
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(ContractError, match=f"missing corpus file {path}"):
+            load_corpus_pair(old_dir, new_dir, refs.FIXTURE_ITEMS)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        old_dir, new_dir = self.write_pair(tmp_path)
+        path = corpus_path(old_dir, refs.FIXTURE_ITEMS[0].image_ref)
+        path.write_bytes(b'{"responses": [], "x": "\xff"}')
+        with pytest.raises(ValueError, match=str(path)):
+            load_corpus_pair(old_dir, new_dir, refs.FIXTURE_ITEMS)
+
     def test_empty_directories_rejected(self, tmp_path):
         (tmp_path / "old").mkdir()
         (tmp_path / "new").mkdir()

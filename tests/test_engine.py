@@ -286,6 +286,19 @@ class TestStorageFiles:
         assert not restarted.initialized
         assert restarted.run_detection("manual").reason == "not_initialized"
 
+    @pytest.mark.parametrize("legacy", [False, True], ids=["no legacy file", "legacy of another"])
+    def test_missing_dataset_of_the_current_token_is_named_in_a_warning(self, tmp_path, caplog, legacy):
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        install(make_engine(tmp_path), current)
+        dataset_file(tmp_path).unlink()
+        if legacy:
+            other = BenchmarkDataset.create("other", refs.FIXTURE_ITEMS[:2])
+            (tmp_path / LEGACY_DATASET_FILE).write_text(canonical_json(other.to_dict()) + "\n", encoding="utf-8")
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        assert not make_engine(tmp_path).initialized
+        warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
+        assert len(warnings) == 1 and str(dataset_file(tmp_path)) in warnings[0]
+
     def test_torn_writes_leave_the_previous_files_whole(self, tmp_path, monkeypatch, caplog):
         clock = [T0]
         engine = make_engine(tmp_path, now_fn=lambda: clock[0])

@@ -83,3 +83,30 @@ def test_only_the_token_store_names_storage_files(path):
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
     assert [(line, text) for line, text in literals if any(n in text for n in STORAGE_NAMES)] == []
+
+
+def imported_modules(tree):
+    """(line, dotted name) for each module an import statement names,
+    counting `from a import b` as both `a` and `a.b`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.lineno, node.module
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_only_httpbase_speaks_http(path):
+    """httpbase.py owns the HTTP framing, so no module imports the stdlib's
+    HTTP client or server, and no other module opens a socket."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    forbidden = {"http.client", "http.server"}
+    if path.name != "httpbase.py":
+        forbidden |= {"socket", "socketserver", "ssl"}
+    assert [
+        (line, name) for line, name in imported_modules(tree)
+        if any(name == f or name.startswith(f + ".") for f in forbidden)
+    ] == []

@@ -557,7 +557,9 @@ def count_body_reads(monkeypatch) -> list:
 
 
 def store_tokens(directory, count):
+    """`count` tokens of make_dataset(), stored with their dataset."""
     store = TokenStore(directory)
+    store.save_dataset(make_dataset())
     tokens = [make_token(now=T0 + timedelta(seconds=i)) for i in range(count)]
     for token in tokens:
         store.store(token)
