@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import logging
 import signal
 import sys
@@ -35,7 +34,7 @@ from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, Scheduler
 from .simulator import SimulatorServer, parse_script
 from .token import TokenStore, validators
 from .tuner import tune_thresholds
-from .types import pretty_json, read_utf8
+from .types import parse_json, pretty_json, read_utf8
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -62,7 +61,7 @@ def _json_object(raw: bytes) -> dict:
     """A proxy reply body as a JSON object; anything else reads as {}, since
     something other than the proxy may be answering."""
     try:
-        reply = json.loads(raw)
+        reply = parse_json(raw)
     except ValueError:
         return {}
     return reply if isinstance(reply, dict) else {}

@@ -57,41 +57,35 @@ def parse_flat(path) -> dict[str, str]:
     return values
 
 
-def _strip_rules_prefix(flat: dict[str, str]) -> dict[str, str]:
-    out = {}
-    for key, value in flat.items():
-        out[key[6:] if key.startswith("rules.") else key] = value
-    return out
+# the rules-file keys that are numbers; ThresholdRules checks their values
+_NUMBER_KEYS = (
+    ("max_labels", int),
+    ("min_confidence", float),
+    ("max_delta_labels", int),
+    ("max_delta_confidence", float),
+)
 
 
 def rules_from_flat(flat: dict[str, str], context: str = "rules") -> ThresholdRules:
-    """Build ThresholdRules from flat keys, with or without a rules. prefix."""
-    values = _strip_rules_prefix(flat)
-    kwargs = {}
+    """Build ThresholdRules from flat keys, with or without a rules. prefix;
+    a severity not named stays at its default."""
+    values = {key.removeprefix("rules."): value for key, value in flat.items()}
+    data = {}
     try:
-        if "max_labels" in values:
-            kwargs["max_labels"] = int(values["max_labels"])
-        if "min_confidence" in values:
-            kwargs["min_confidence"] = float(values["min_confidence"])
-        if "max_delta_labels" in values:
-            kwargs["max_delta_labels"] = int(values["max_delta_labels"])
-        if "max_delta_confidence" in values:
-            kwargs["max_delta_confidence"] = float(values["max_delta_confidence"])
+        for key, kind in _NUMBER_KEYS:
+            if key in values:
+                data[key] = kind(values[key])
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     if "expected_labels" in values:
-        raw = values["expected_labels"]
-        kwargs["expected_labels_global"] = frozenset(
-            label.strip() for label in raw.split(",") if label.strip()
-        )
-    severity = {category: "error" for category in CHECK_CATEGORIES}
-    for category in CHECK_CATEGORIES:
-        key = f"severity.{category}"
-        if key in values:
-            severity[category] = values[key]
-    kwargs["severity"] = severity
+        data["expected_labels"] = [
+            label.strip() for label in values["expected_labels"].split(",") if label.strip()
+        ]
+    severity = {c: values[f"severity.{c}"] for c in CHECK_CATEGORIES if f"severity.{c}" in values}
+    if severity:
+        data["severity"] = {**ThresholdRules().severity, **severity}
     try:
-        return ThresholdRules(**kwargs)
+        return ThresholdRules.from_dict(data)
     except ContractError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 

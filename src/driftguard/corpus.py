@@ -9,19 +9,18 @@ from __future__ import annotations
 import json
 import os
 import re
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .types import (
+    EPOCH_ZERO,
     BenchmarkDataset,
     BenchmarkItem,
     ContractError,
     LabelledResponse,
+    parse_json,
     sha256_hex,
 )
 from .wire import parse_wire_response, serialize_wire
-
-REPLAY_EPOCH = datetime.fromtimestamp(0, timezone.utc)
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -52,15 +51,17 @@ def write_corpus(directory, responses) -> list[Path]:
 
 def read_response_file(path, image_ref: str) -> LabelledResponse:
     """The response in one corpus file. A missing file raises ContractError
-    and one that is not UTF-8 a ValueError, each naming the file."""
+    and one that does not hold a UTF-8 JSON wire body a ValueError, each
+    naming the file."""
     try:
         with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
+            data = handle.read()
     except (FileNotFoundError, IsADirectoryError):
         raise ContractError(f"missing corpus file {path}") from None
-    except UnicodeDecodeError as exc:
+    try:
+        return parse_wire_response(parse_json(data), image_ref=image_ref, captured_at=EPOCH_ZERO)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return parse_wire_response(json.loads(text), image_ref=image_ref, captured_at=REPLAY_EPOCH)
 
 
 def load_corpus_pair(old_dir, new_dir, items=None):

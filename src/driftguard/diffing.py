@@ -9,16 +9,15 @@ the label-delta check and never to the confidence-delta check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import NamedTuple
 
 from .types import (
-    CATEGORY_CONFIDENCE_DELTA,
-    CATEGORY_EXPECTED_LABELS,
-    CATEGORY_LABEL_DELTA,
+    CATEGORY_FOR_CODE,
     CODE_CONFIDENCE_DELTA,
     CODE_EXPECTED_LABELS,
     CODE_LABEL_DELTA,
+    EPOCH_ZERO,
     ERROR_TYPES,
     BenchmarkDataset,
     BenchmarkItem,
@@ -27,9 +26,6 @@ from .types import (
     ThresholdRules,
     iso_ts,
 )
-
-_EPOCH_ZERO = datetime.fromtimestamp(0, timezone.utc)
-
 
 def trim_number(value) -> str:
     """Render a number without trailing zeros: 5 -> '5', 0.010 -> '0.01', 1.0 -> '1'."""
@@ -69,7 +65,6 @@ class Violation:
     needs; position is the image's dataset index (0 when checked alone)."""
 
     error_code: int
-    category: str
     image_ref: str
     reason: str
     data: dict
@@ -78,6 +73,10 @@ class Violation:
     @property
     def error_type(self) -> str:
         return ERROR_TYPES[self.error_code]
+
+    @property
+    def category(self) -> str:
+        return CATEGORY_FOR_CODE[self.error_code]
 
     def payload(self) -> dict:
         return {**self.data, "uri": self.image_ref, "reason": self.reason}
@@ -119,7 +118,6 @@ class Comparison(NamedTuple):
             found.append(
                 Violation(
                     error_code=CODE_LABEL_DELTA,
-                    category=CATEGORY_LABEL_DELTA,
                     image_ref=item.image_ref,
                     reason=label_delta_reason(
                         rules.max_delta_labels, len(self.added), len(self.dropped)
@@ -144,7 +142,6 @@ class Comparison(NamedTuple):
             found.append(
                 Violation(
                     error_code=CODE_CONFIDENCE_DELTA,
-                    category=CATEGORY_CONFIDENCE_DELTA,
                     image_ref=item.image_ref,
                     reason=confidence_delta_reason(rules.max_delta_confidence, len(flagged), mean),
                     data={
@@ -159,7 +156,6 @@ class Comparison(NamedTuple):
             found.append(
                 Violation(
                     error_code=CODE_EXPECTED_LABELS,
-                    category=CATEGORY_EXPECTED_LABELS,
                     image_ref=item.image_ref,
                     reason=expected_labels_reason(missing),
                     data={
@@ -191,17 +187,6 @@ def compare(old: LabelledResponse, new: LabelledResponse) -> Comparison:
             added.append(ann.label)
     dropped = [a.label for a in old.annotations if a.label not in deltas]
     return Comparison(old, new, added, dropped, deltas)
-
-
-def evaluate_image(
-    old: LabelledResponse,
-    new: LabelledResponse,
-    item: BenchmarkItem,
-    rules: ThresholdRules,
-) -> list[Violation]:
-    """Run the three benchmark checks on one image pair; an empty list
-    means the image stayed within tolerance."""
-    return compare(old, new).violations(item, rules)
 
 
 @dataclass(frozen=True)
@@ -347,8 +332,8 @@ def evaluate_epochs(
     mean_signed = sum(nonzero) / len(nonzero) if nonzero else 0.0
 
     return EvolutionReport(
-        old_epoch=max((r.captured_at for r in old_snapshot), default=_EPOCH_ZERO),
-        new_epoch=max((r.captured_at for r in new_snapshot), default=_EPOCH_ZERO),
+        old_epoch=max((r.captured_at for r in old_snapshot), default=EPOCH_ZERO),
+        new_epoch=max((r.captured_at for r in new_snapshot), default=EPOCH_ZERO),
         deltas=tuple(deltas),
         labels_added=labels_added,
         labels_dropped=labels_dropped,

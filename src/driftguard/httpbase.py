@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from http import HTTPStatus
 from urllib.parse import urlsplit
 
-from .types import http_date
+from .types import http_date, parse_json
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +135,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         method, target, headers, raw, keep = request
         try:
-            body = json.loads(raw.decode("utf-8")) if raw else None
+            body = parse_json(raw) if raw else None
         except ValueError:
             self._respond(400, {}, {"error": "request body is not valid JSON"}, keep)
             return keep
@@ -384,7 +384,7 @@ def post_json(url: str, payload, timeout: float, pool: ConnectionPool | None = N
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     if parts.scheme not in ("http", "https") or not host or _UNSAFE_TARGET.search(target):
         raise OSError(f"not an http(s) URL with a host and an ASCII path: {url!r}")
-    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    body = b"" if payload is None else encode_json(payload)
     authority = (f"[{host}]" if ":" in host else host) + ("" if port is None else f":{port}")
     request = (
         f"POST {target} HTTP/1.1\r\nHost: {authority}\r\nContent-Type: application/json\r\n"

@@ -50,7 +50,7 @@ class ProxyServer(JsonHttpServer):
                 if "rules" in body
                 else self.config.rules
             )
-        except (ContractError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             return 400, {}, {"error": f"invalid manifest: {exc}"}
         try:
             token = self.engine.initialize_benchmark(

@@ -13,7 +13,6 @@ robustness failures always win over benchmark failures.
 from __future__ import annotations
 
 import fcntl
-import json
 import logging
 import os
 import re
@@ -34,6 +33,7 @@ from .types import (
     http_date,
     iso_ts,
     parse_iso_ts,
+    parse_json,
     sha256_hex,
 )
 
@@ -58,18 +58,11 @@ class ValidationError:
     """A coded precondition failure. This is a domain result, not a fault."""
 
     error_code: int
-    error_type: str
     error_data: dict
 
-    def __post_init__(self):
-        if ERROR_TYPES.get(self.error_code) != self.error_type:
-            raise ContractError(
-                f"error_code {self.error_code} does not map to {self.error_type!r}"
-            )
-
-    @classmethod
-    def make(cls, code: int, error_data: dict) -> "ValidationError":
-        return cls(error_code=code, error_type=ERROR_TYPES[code], error_data=error_data)
+    @property
+    def error_type(self) -> str:
+        return ERROR_TYPES[self.error_code]
 
     def to_wire(self) -> dict:
         return {
@@ -200,7 +193,7 @@ def parse_etag(header_value: str) -> str:
 
 
 def no_key_error() -> ValidationError:
-    return ValidationError.make(
+    return ValidationError(
         0,
         {
             "source_key": None,
@@ -213,7 +206,7 @@ def unknown_token_error(token_ref: str, current: BehaviourToken) -> ValidationEr
     """An id (or date) that matches nothing we ever minted: the state it
     encodes is not the benchmark state served here, so it reads as a
     dataset mismatch."""
-    return ValidationError.make(
+    return ValidationError(
         2,
         {
             "source_key": None,
@@ -282,7 +275,7 @@ def _robustness_error(requested, current) -> ValidationError | None:
                 error_data[f"{name}_expected"] = expected[name]
             error_data[f"{name}_provided"] = provided[name]
         error_data["reason"] = reason
-        return ValidationError.make(code, error_data)
+        return ValidationError(code, error_data)
     return None
 
 
@@ -330,14 +323,9 @@ def validate(
     }
     if rest:
         error_data["additional_errors"] = [
-            {
-                "error_code": v.error_code,
-                "error_type": v.error_type,
-                "error_data": v.payload(),
-            }
-            for v in rest
+            ValidationError(v.error_code, v.payload()).to_wire() for v in rest
         ]
-    return ValidationError.make(primary.error_code, error_data)
+    return ValidationError(primary.error_code, error_data)
 
 
 @dataclass(eq=False)
@@ -425,7 +413,7 @@ class TokenStore:
         parse rejects, raises a ValueError naming it when `strict`, and
         otherwise reads as None with a warning naming it."""
         try:
-            return parse(json.loads(path.read_text(encoding="utf-8")))
+            return parse(parse_json(path.read_bytes()))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             if strict:
                 raise ValueError(f"unreadable {kind} file {path}: {exc}") from exc

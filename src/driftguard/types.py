@@ -73,6 +73,17 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def parse_json(data: bytes):
+    """The JSON document in `data`, which must be UTF-8 (RFC 8259 §8.1; a
+    leading byte order mark is ignored, as §8.1 allows). Anything that is
+    not a JSON document raises ValueError, nesting deeper than the parser
+    can hold included. The one JSON decoder for input read from outside."""
+    try:
+        return json.loads(data.decode("utf-8").removeprefix("\ufeff"))
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 def read_utf8(path) -> str:
     """The text of a UTF-8 input file; a file that does not decode raises a
     ValueError that names it."""
@@ -80,6 +91,9 @@ def read_utf8(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+EPOCH_ZERO = datetime.fromtimestamp(0, timezone.utc)
 
 
 def utc_now_second() -> datetime:
@@ -199,6 +213,13 @@ class LabelledResponse:
         )
 
 
+def _label_set(labels) -> frozenset:
+    """The labels of a JSON array of strings; anything else is refused."""
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ContractError("expected_labels must be an array of strings")
+    return frozenset(labels)
+
+
 @dataclass(frozen=True)
 class BenchmarkItem:
     """One benchmark image with its ground truth and mandatory labels."""
@@ -209,8 +230,10 @@ class BenchmarkItem:
 
     def __post_init__(self):
         object.__setattr__(self, "expected_labels", frozenset(self.expected_labels))
-        if not self.image_ref:
+        if not isinstance(self.image_ref, str) or not self.image_ref:
             raise ContractError("benchmark item needs an image_ref")
+        if not isinstance(self.ground_truth, str):
+            raise ContractError("benchmark item ground_truth must be text")
 
     def to_dict(self) -> dict:
         return {
@@ -224,7 +247,7 @@ class BenchmarkItem:
         return cls(
             image_ref=data["image_ref"],
             ground_truth=data["ground_truth"],
-            expected_labels=frozenset(data.get("expected_labels", ())),
+            expected_labels=_label_set(data.get("expected_labels", [])),
         )
 
 
@@ -276,6 +299,12 @@ def _default_severity() -> dict:
     return {category: SEVERITY_ERROR for category in CHECK_CATEGORIES}
 
 
+# what ThresholdRules.from_dict takes as it stands; expected_labels is mapped
+_RULE_FIELDS = (
+    "max_labels", "min_confidence", "max_delta_labels", "max_delta_confidence", "severity"
+)
+
+
 @dataclass(frozen=True)
 class ThresholdRules:
     """Operator-set tolerances deciding when service change becomes an error.
@@ -298,13 +327,17 @@ class ThresholdRules:
     def __post_init__(self):
         object.__setattr__(self, "expected_labels_global", frozenset(self.expected_labels_global))
         object.__setattr__(self, "severity", dict(self.severity))
-        if self.max_labels < 1:
+        # a bool is an int to Python but not a count or a confidence here
+        if type(self.max_labels) is not int or self.max_labels < 1:
             raise ContractError("max_labels must be a positive integer")
-        if not 0.0 <= self.min_confidence <= 1.0:
+        if type(self.min_confidence) not in (int, float) or not 0.0 <= self.min_confidence <= 1.0:
             raise ContractError("min_confidence must lie in [0, 1]")
-        if self.max_delta_labels < 1:
+        if type(self.max_delta_labels) is not int or self.max_delta_labels < 1:
             raise ContractError("max_delta_labels must be a positive integer")
-        if not 0.0 < self.max_delta_confidence <= 1.0:
+        if (
+            type(self.max_delta_confidence) not in (int, float)
+            or not 0.0 < self.max_delta_confidence <= 1.0
+        ):
             raise ContractError("max_delta_confidence must lie in (0, 1]")
         if set(self.severity) != set(CHECK_CATEGORIES):
             raise ContractError(f"severity must cover exactly {CHECK_CATEGORIES}")
@@ -324,14 +357,12 @@ class ThresholdRules:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThresholdRules":
-        return cls(
-            max_labels=data.get("max_labels", 10),
-            min_confidence=data.get("min_confidence", 0.0),
-            max_delta_labels=data.get("max_delta_labels", 5),
-            max_delta_confidence=data.get("max_delta_confidence", 0.01),
-            expected_labels_global=frozenset(data.get("expected_labels", ())),
-            severity=dict(data.get("severity", _default_severity())),
-        )
+        """The rules in `data` (the shape to_dict writes); a missing field
+        takes its default."""
+        fields = {name: data[name] for name in _RULE_FIELDS if name in data}
+        if "expected_labels" in data:
+            fields["expected_labels_global"] = _label_set(data["expected_labels"])
+        return cls(**fields)
 
     def canonical_text(self) -> str:
         return canonical_json(self.to_dict())

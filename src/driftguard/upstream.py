@@ -9,14 +9,13 @@ client keeps its connections alive between calls and threads.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .httpbase import ConnectionPool, post_json
-from .types import BenchmarkDataset, LabelledResponse, ThresholdRules, utc_now_second
-from .wire import AnnotateRequest, WireFormatError, parse_wire_response
+from .types import BenchmarkDataset, LabelledResponse, ThresholdRules, parse_json, utc_now_second
+from .wire import AnnotateRequest, parse_wire_response
 
 log = logging.getLogger(__name__)
 
@@ -59,12 +58,12 @@ class UpstreamClient:
             return self._failure(request.url)
         try:
             return parse_wire_response(
-                json.loads(raw),
+                parse_json(raw),
                 image_ref=request.url,
                 captured_at=utc_now_second(),
                 max_results=request.max_results,
             )
-        except (ValueError, WireFormatError) as exc:
+        except ValueError as exc:
             log.warning("unparseable upstream body for %s: %s", request.url, exc)
             return self._failure(request.url)
 

@@ -20,6 +20,9 @@ from .types import ContractError, LabelAnnotation, LabelledResponse
 log = logging.getLogger(__name__)
 
 
+_NUMBER = (int, float)  # exact types: a JSON true is no number
+
+
 class WireFormatError(ValueError):
     """Body does not parse as the service's request or response format."""
 
@@ -101,30 +104,22 @@ def parse_wire_response(
     for k, raw in enumerate(entry["label_annotations"]):
         if not isinstance(raw, dict):
             raise WireFormatError(f"label_annotations[{k}] is not an object")
-        try:
-            label = raw["description"]
-            score = raw["score"]
-        except KeyError as exc:
-            raise WireFormatError(f"label_annotations[{k}] missing {exc}") from exc
-        if not isinstance(label, str) or not label.strip():
-            raise WireFormatError(f"label_annotations[{k}] has an empty description")
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise WireFormatError(f"label_annotations[{k}] score is not numeric")
-        if not 0.0 <= float(score) <= 1.0:
-            raise WireFormatError(f"label_annotations[{k}] score {score!r} outside [0, 1]")
-        topicality = raw.get("topicality")
-        if topicality is not None and (
-            not isinstance(topicality, (int, float)) or isinstance(topicality, bool)
+        label, score = raw.get("description"), raw.get("score")
+        topicality, mid = raw.get("topicality"), raw.get("mid")
+        # the JSON types here; LabelAnnotation owns the ranges and blank labels
+        if not (
+            isinstance(label, str)
+            and type(score) in _NUMBER
+            and (topicality is None or type(topicality) in _NUMBER)
+            and (mid is None or isinstance(mid, str))
         ):
-            raise WireFormatError(f"label_annotations[{k}] topicality is not numeric")
-        parsed.append(
-            LabelAnnotation(
-                label=label.strip(),
-                confidence=float(score),
-                ontology_id=raw.get("mid") or None,
-                topicality=float(topicality) if topicality is not None else None,
-            )
-        )
+            raise WireFormatError(f"label_annotations[{k}]: description and mid must be "
+                                  "text, score and topicality numbers")
+        try:  # float() overflows on an integer beyond the float range
+            topicality = None if topicality is None else float(topicality)
+            parsed.append(LabelAnnotation(label.strip(), float(score), mid or None, topicality))
+        except (ContractError, OverflowError) as exc:
+            raise WireFormatError(f"label_annotations[{k}]: {exc}") from exc
 
     parsed.sort(key=lambda a: (-a.confidence, a.label))
     deduped = []

@@ -12,7 +12,7 @@ import pytest
 import requests
 
 from driftguard.cli import main
-from driftguard.corpus import write_corpus
+from driftguard.corpus import corpus_path, write_corpus
 from driftguard.simulator import SimulatorServer, parse_script
 from driftguard.token import TokenStore, mint_token
 from driftguard.types import BenchmarkDataset
@@ -217,6 +217,29 @@ class TestReplay:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "content", [b"not json", b"[" * 100_000], ids=["not json", "nested too deeply"]
+    )
+    def test_corpus_file_that_is_not_json_is_exit_2_naming_it(
+        self, reference_dirs, capsys, content
+    ):
+        path = corpus_path(reference_dirs / "new", refs.IGUANA_URI)
+        path.write_bytes(content)
+        code = main(
+            [
+                "replay",
+                "--old", str(reference_dirs / "old"),
+                "--new", str(reference_dirs / "new"),
+                "--rules", str(reference_dirs / "rules.conf"),
+                "--manifest", str(reference_dirs / "benchmark.tsv"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"drift-guard: {path}: ")
+        assert captured.out == ""
+
+
 class TestTune:
     def test_matrix_tsv(self, reference_dirs, capsys):
         code = main(
@@ -250,6 +273,19 @@ class TestTune:
             ]
         )
         assert code == 2
+
+    def test_unparseable_grid_is_exit_2(self, reference_dirs, capsys):
+        code = main(
+            [
+                "tune",
+                "--old", str(reference_dirs / "old"),
+                "--new", str(reference_dirs / "new"),
+                "--labels", "a",
+                "--confs", "0.01",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("drift-guard: bad grid: ")
 
     def test_out_of_range_grid_is_exit_2(self, reference_dirs, capsys):
         code = main(
@@ -347,6 +383,7 @@ class TestInit:
             pytest.param(501, NOT_A_PROXY, "text/html", id="501"),
             pytest.param(400, b"[1]", "application/json", id="400-array"),
             pytest.param(201, b"5", "application/json", id="201-number"),
+            pytest.param(201, b"[" * 100_000, "application/json", id="201-nested-too-deeply"),
         ],
     )
     def test_non_json_reply_at_listen_is_exit_2(self, tmp_path, capsys, status, body, content_type):
@@ -501,7 +538,7 @@ class TestServeAndTick:
 
     def test_non_object_reply_to_tick_is_exit_3(self, tmp_path, capsys):
         # a rotation without both token ids is no rotation either
-        for body in (b"[]", b'{"outcome": "token_rotated"}'):
+        for body in (b"[]", b'{"outcome": "token_rotated"}', b"[" * 100_000):
             listener = socket.create_server(("127.0.0.1", 0))
             thread = answer_once(listener, http_reply(202, body))
             listen = f"127.0.0.1:{listener.getsockname()[1]}"
@@ -545,6 +582,15 @@ class TestServeAndTick:
         assert "Traceback" not in err
 
     def test_unreadable_newest_token_is_exit_2(self, tmp_path):
+        self.serve_with_a_damaged_newest_token(tmp_path, lambda data: data[:100])
+
+    def test_newest_token_nested_too_deeply_is_exit_2(self, tmp_path):
+        self.serve_with_a_damaged_newest_token(tmp_path, lambda data: b"[" * 100_000)
+
+    @staticmethod
+    def serve_with_a_damaged_newest_token(tmp_path, damage):
+        """`serve` over a history whose newest file is damage(its bytes)
+        stops with exit 2 naming that file and writes nothing but its lock."""
         storage = tmp_path / "storage"
         dataset = BenchmarkDataset.create("minted", refs.FIXTURE_ITEMS)
         old, new = refs.fixture_snapshots()
@@ -554,7 +600,7 @@ class TestServeAndTick:
         newest = store.store(
             mint_token("vision-main", dataset, refs.FIXTURE_RULES, new, T0 + timedelta(seconds=1))
         )
-        newest.write_bytes(newest.read_bytes()[:100])
+        newest.write_bytes(damage(newest.read_bytes()))
         before = {path.name: path.read_bytes() for path in storage.iterdir()}
         config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate")
         proc = spawn(["serve", "--config", str(config_path)])

@@ -79,6 +79,12 @@ class TestConfig:
                 "rules.max_delta_confidence=2\n",
                 "max_delta_confidence",
             ),
+            (
+                "listen=h:1\nupstream_url=u\nservice_id=s\nstorage_path=p\n"
+                "rules.max_labels=2.5\n",
+                "'2.5'",
+            ),
+            ("listen=h:1\n = value\n", "guard.conf:2: empty key"),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, match):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from driftguard.corpus import (
@@ -98,6 +100,18 @@ class TestLoadPair:
         path = corpus_path(old_dir, refs.FIXTURE_ITEMS[0].image_ref)
         path.write_bytes(b'{"responses": [], "x": "\xff"}')
         with pytest.raises(ValueError, match=str(path)):
+            load_corpus_pair(old_dir, new_dir, refs.FIXTURE_ITEMS)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"not json", b"[" * 100_000, b'{"responses": 1}'],
+        ids=["not json", "nested too deeply", "not the wire format"],
+    )
+    def test_file_that_is_not_a_json_wire_body_is_named(self, tmp_path, content):
+        old_dir, new_dir = self.write_pair(tmp_path)
+        path = corpus_path(old_dir, refs.FIXTURE_ITEMS[0].image_ref)
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_corpus_pair(old_dir, new_dir, refs.FIXTURE_ITEMS)
 
     def test_empty_directories_rejected(self, tmp_path):

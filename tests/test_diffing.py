@@ -5,7 +5,6 @@ from driftguard.diffing import (
     collect_violations,
     compare,
     evaluate_epochs,
-    evaluate_image,
     trim_number,
 )
 from driftguard.types import (
@@ -91,7 +90,7 @@ class TestConfidenceDeltas:
 class TestEvaluateImage:
     def test_car_fires_label_delta_with_ordered_payload(self):
         old, new = refs.car_pair()
-        violations = evaluate_image(old, new, refs.CAR_ITEM, refs.FIXTURE_RULES)
+        violations = compare(old, new).violations(refs.CAR_ITEM, refs.FIXTURE_RULES)
         assert [v.error_code for v in violations] == [7]
         violation = violations[0]
         assert violation.data["delta_labels_threshold"] == 5
@@ -102,7 +101,7 @@ class TestEvaluateImage:
 
     def test_sheep_fires_confidence_delta_with_five_labels(self):
         old, new = refs.sheep_pair()
-        violations = evaluate_image(old, new, refs.SHEEP_ITEM, refs.FIXTURE_RULES)
+        violations = compare(old, new).violations(refs.SHEEP_ITEM, refs.FIXTURE_RULES)
         assert [v.error_code for v in violations] == [8]
         detected = violations[0].data["delta_confidences_detected"]
         assert list(detected) == ["sheep", "herd", "livestock", "terrestrial animal", "snout"]
@@ -112,7 +111,7 @@ class TestEvaluateImage:
 
     def test_iguana_fires_expected_labels_only(self):
         old, new = refs.iguana_pair()
-        violations = evaluate_image(old, new, refs.IGUANA_ITEM, refs.FIXTURE_RULES)
+        violations = compare(old, new).violations(refs.IGUANA_ITEM, refs.FIXTURE_RULES)
         assert [v.error_code for v in violations] == [9]
         violation = violations[0]
         assert violation.data["expected_labels"] == ["fauna"]
@@ -124,7 +123,7 @@ class TestEvaluateImage:
         # 3 added + 1 dropped = 4 >= 3, plus the missing expected label
         old, new = refs.iguana_pair()
         rules = ThresholdRules(max_delta_labels=3, max_delta_confidence=0.01)
-        codes = [v.error_code for v in evaluate_image(old, new, refs.IGUANA_ITEM, rules)]
+        codes = [v.error_code for v in compare(old, new).violations(refs.IGUANA_ITEM, rules)]
         assert codes == [7, 9]
 
     def test_global_and_item_expected_labels_union(self):
@@ -135,7 +134,7 @@ class TestEvaluateImage:
             expected_labels_global=frozenset({"vehicle", "fauna"}),
         )
         item = BenchmarkItem(refs.CAR_URI, "Vehicle", frozenset({"street"}))
-        violations = evaluate_image(old, new, item, rules)
+        violations = compare(old, new).violations(item, rules)
         assert [v.error_code for v in violations] == [9]
         assert violations[0].data["labels_missing"] == ["fauna"]
         assert violations[0].data["expected_labels"] == ["fauna", "street", "vehicle"]
@@ -144,13 +143,13 @@ class TestEvaluateImage:
     def test_sentinel_thresholds_never_violate(self, pair):
         old, new = pair
         item = BenchmarkItem(old.image_ref, "")
-        assert evaluate_image(old, new, item, SENTINEL_RULES) == []
+        assert compare(old, new).violations(item, SENTINEL_RULES) == []
 
     @given(response_pairs(), rules_strategy())
     def test_comparator_is_at_least_threshold(self, pair, rules):
         old, new = pair
         item = BenchmarkItem(old.image_ref, "")
-        codes = {v.error_code for v in evaluate_image(old, new, item, rules)}
+        codes = {v.error_code for v in compare(old, new).violations(item, rules)}
         comparison = compare(old, new)
         assert (7 in codes) == (comparison.label_delta >= rules.max_delta_labels)
         has_confidence_hit = any(

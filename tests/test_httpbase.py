@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given
 
 from driftguard import httpbase
-from driftguard.httpbase import MAX_BODY_BYTES, ConnectionPool, JsonHttpServer, post_json
+from driftguard.httpbase import (
+    MAX_BODY_BYTES,
+    ConnectionPool,
+    JsonHttpServer,
+    encode_json,
+    post_json,
+)
 from driftguard.types import parse_http_date
 
 from netutil import free_port, read_request
@@ -48,17 +54,21 @@ class RecordingPool(ConnectionPool):
 
 
 @contextmanager
-def raw_server(*replies):
+def raw_server(*replies, received=None):
     """A server on a raw socket that answers the requests on one connection
-    with `replies` in turn, then closes it; yields the URL to POST to."""
+    with `replies` in turn, then closes it; yields the URL to POST to. The
+    request bodies go to `received` when it is a list."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
         conn, _ = listener.accept()
         with conn:
             for reply in replies:
-                if read_request(conn) is None:
+                body = read_request(conn)
+                if body is None:
                     return
+                if received is not None:
+                    received.append(body)
                 conn.sendall(reply)
 
     thread = threading.Thread(target=serve, daemon=True)
@@ -79,6 +89,12 @@ class TestPostJson:
         assert headers.get("etag") == 'W/"abc"'
         assert json.loads(raw) == {"ok": True}
         assert server.seen == [("POST", "/x", {"k": "é"}, "application/json")]
+
+    def test_body_is_sent_as_the_servers_utf8_json_encoding(self):
+        received = []
+        with raw_server(b"HTTP/1.1 204 No Content\r\n\r\n", received=received) as url:
+            post_json(url, {"k": "é"}, 5)
+        assert received == [encode_json({"k": "é"})] == ['{"k": "é"}\n'.encode("utf-8")]
 
     def test_query_string_reaches_the_server(self):
         with Recorder() as server:
@@ -302,16 +318,30 @@ class TestServer:
         assert server.seen == []
 
     @pytest.mark.parametrize(
-        "first,status",
-        [(b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\n{x}", 400),
-         (b"POST /boom HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", 500)],
-        ids=["body not json", "router raises"],
+        "path,body,status",
+        [("/x", b"{x}", 400),
+         ("/x", b"[" * 100_000, 400),
+         ("/x", b'"\xff"', 400),
+         ("/x", "{}".encode("utf-16"), 400),
+         ("/boom", b"{}", 500)],
+        ids=["body not json", "nested too deeply", "not utf-8", "utf-16", "router raises"],
     )
-    def test_refusal_of_a_framed_request_keeps_the_connection(self, first, status):
+    def test_refusal_of_a_framed_request_keeps_the_connection(self, path, body, status):
+        first = b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (path.encode(), len(body))
         last = b"POST /x HTTP/1.1\r\nConnection: close\r\nContent-Length: 2\r\n\r\n{}"
         with Recorder() as server:
-            reply, _ = raw_exchange(server.port, first + last)
+            reply, _ = raw_exchange(server.port, first + body + last)
         assert statuses(reply) == [status, 201]
+        if status == 400:
+            assert b'{"error": "request body is not valid JSON"}' in reply
+        assert [seen[2] for seen in server.seen] == [{}]
+
+    def test_utf8_body_behind_a_byte_order_mark_is_read(self):
+        head = b"POST /x HTTP/1.1\r\nConnection: close\r\nContent-Length: 11\r\n\r\n"
+        with Recorder() as server:
+            reply, _ = raw_exchange(server.port, head + '\ufeff{"k": 1}'.encode("utf-8"))
+        assert statuses(reply) == [201]
+        assert server.seen[0][2] == {"k": 1}
 
     @pytest.mark.parametrize(
         "requests,answered",

@@ -98,6 +98,25 @@ def imported_modules(tree):
                 yield node.lineno, f"{node.module}.{alias.name}"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "types.py"),
+    ids=lambda path: path.name,
+)
+def test_only_types_decodes_json(path):
+    """types.parse_json is the one JSON decoder for input read from outside,
+    so no other module calls json.loads or json.load, or imports either."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    decoders = {"json.loads", "json.load"}
+    calls = [
+        (node.lineno, ast.unparse(node.func))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+    found = calls + list(imported_modules(tree))
+    assert [(line, name) for line, name in found if name in decoders] == []
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_only_httpbase_speaks_http(path):
     """httpbase.py owns the HTTP framing, so no module imports the stdlib's

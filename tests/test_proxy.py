@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -127,6 +128,38 @@ class TestBenchmarkEndpoint:
         proxy, _, _ = stack
         reply = requests.post(f"{proxy.base_url}/benchmark", json={}, timeout=10)
         assert reply.status_code == 400
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"rules": {"max_labels": 2.5}',
+            '"rules": {"max_labels": true}',
+            '"rules": {"max_labels": NaN}',
+            '"rules": {"max_delta_labels": 2.5}',
+            '"rules": {"min_confidence": false}',
+            '"rules": {"expected_labels": "cat"}',
+            '"items": [{"image_ref": "u", "ground_truth": "cat", "expected_labels": "cat"}]',
+            '"items": [{"image_ref": 5, "ground_truth": "cat"}]',
+            '"items": [{"image_ref": "u", "ground_truth": ["cat"]}]',
+            '"items": [{"image_ref": "u"}]',
+            '"rules": {"severity": "error"}',
+        ],
+    )
+    def test_wrong_typed_field_is_400_before_any_upstream_call(self, stack, field):
+        proxy, engine, _ = stack
+        calls = []
+        engine.client.snapshot_benchmark = lambda *args: calls.append(args)
+        items = json.dumps(MANIFEST_ITEMS)
+        body = "{" + field + (', "items": ' + items if '"items"' not in field else "") + "}"
+        reply = requests.post(
+            f"{proxy.base_url}/benchmark",
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            timeout=10,
+        )
+        assert reply.status_code == 400
+        assert reply.json()["error"].startswith("invalid manifest: ")
+        assert calls == []
 
     def test_unreachable_upstream_returns_502_and_stores_nothing(self, tmp_path):
         config = ProxyConfig(

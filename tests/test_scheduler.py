@@ -1,4 +1,5 @@
 import json
+import logging
 import sys
 import threading
 import time
@@ -292,6 +293,25 @@ class TestSchedulerLoop:
         scheduler.stop()
         assert len(runs) >= 3
         assert set(runs) == {TRIGGER_INTERVAL}
+
+    def test_run_that_raises_is_logged_and_the_loop_goes_on(self, sim, tmp_path, caplog):
+        caplog.set_level(logging.ERROR, logger="driftguard.scheduler")
+        _, engine = make_engine(sim, tmp_path)
+        runs = []
+
+        def failing(trigger):
+            runs.append(trigger)
+            raise RuntimeError("probe exploded")
+
+        engine.run_detection = failing
+        scheduler = Scheduler(engine, interval_secs=0.1)
+        scheduler.start()
+        time.sleep(0.45)
+        scheduler.stop()
+        assert len(runs) >= 2
+        failures = [r for r in caplog.records if r.getMessage() == "detection run failed"]
+        assert len(failures) == len(runs)
+        assert all(r.exc_info[1].args == ("probe exploded",) for r in failures)
 
     def test_third_412_triggers_immediate_run(self, sim, tmp_path):
         _, engine = make_engine(sim, tmp_path, z=3)

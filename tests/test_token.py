@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from driftguard.diffing import Violation
 from driftguard.token import (
     BehaviourToken,
     ETagParseError,
@@ -24,6 +25,7 @@ from driftguard.token import (
     validate,
 )
 from driftguard.types import (
+    CATEGORY_FOR_CODE,
     ERROR_TYPES,
     BenchmarkDataset,
     BenchmarkItem,
@@ -115,6 +117,11 @@ class TestMint:
         token = make_token()
         assert BehaviourToken.from_dict(token.to_dict()) == token
 
+    def test_success_flag_must_match_the_snapshot(self):
+        data = make_token().to_dict()
+        with pytest.raises(ContractError, match="success flag"):
+            BehaviourToken.from_dict({**data, "success": False})
+
 
 class TestEtag:
     def test_wire_form(self):
@@ -153,9 +160,18 @@ class TestCodeTable:
         assert [ERROR_TYPES[code] for code in range(10)] == expected
         assert len(set(ERROR_TYPES.values())) == 10
 
-    def test_validation_error_enforces_mapping(self):
-        with pytest.raises(ContractError):
-            ValidationError(error_code=3, error_type="NO_KEY_YET", error_data={})
+    @pytest.mark.parametrize("code", sorted(ERROR_TYPES))
+    def test_every_code_decides_its_type_and_category(self, code):
+        error = ValidationError(code, {"k": 1})
+        assert error.to_wire() == {
+            "error_code": code,
+            "error_type": ERROR_TYPES[code],
+            "error_data": {"k": 1},
+        }
+        if code in CATEGORY_FOR_CODE:
+            violation = Violation(code, "u", "reason", {}, position=0)
+            assert violation.error_type == ERROR_TYPES[code]
+            assert violation.category == CATEGORY_FOR_CODE[code]
 
 
 class TestValidateRobustness:
@@ -605,6 +621,15 @@ class TestLazyHistory:
         assert "skipping unreadable token file" in warnings[0]
         assert str(store.path_for(tokens[1])) in warnings[0]
 
+    def test_predecessor_nested_too_deeply_reads_as_absent_with_a_warning(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        tokens = store_tokens(tmp_path, 3)
+        store = TokenStore(tmp_path)
+        store.path_for(tokens[1]).write_bytes(b"[" * 100_000)
+        assert store.find(tokens[1].token_id) is None
+        (warning,) = token_warnings(caplog)
+        assert warning.startswith(f"skipping unreadable token file {store.path_for(tokens[1])}: ")
+
     def test_predecessor_gone_after_restart_reads_as_absent(self, tmp_path, caplog):
         caplog.set_level(logging.WARNING, logger="driftguard.token")
         tokens = store_tokens(tmp_path, 3)
@@ -629,12 +654,20 @@ class TestLazyHistory:
         assert len(warnings) == 1 and str(other) in warnings[0]
         assert tokens[0].token_id in warnings[0]
 
-    @pytest.mark.parametrize("damage", ["truncated", "renamed"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "renamed", "nested too deeply", "non-integer count"]
+    )
     def test_unreadable_newest_file_is_refused(self, tmp_path, damage):
         tokens = store_tokens(tmp_path, 3)
         newest = TokenStore(tmp_path).path_for(tokens[-1])
         if damage == "truncated":
             newest.write_text(newest.read_text(encoding="utf-8")[:100], encoding="utf-8")
+        elif damage == "nested too deeply":
+            newest.write_bytes(b"[" * 100_000)
+        elif damage == "non-integer count":  # as POST /benchmark of an earlier version minted
+            data = json.loads(newest.read_bytes())
+            data["rules"]["max_delta_labels"] = 2.5
+            newest.write_text(json.dumps(data), encoding="utf-8")
         else:  # a body that disagrees with its name
             newest = newest.rename(newest.with_name(f"{int(T1.timestamp())}-{'f' * 16}.token"))
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -17,6 +18,7 @@ from driftguard.types import (
     iso_ts,
     parse_http_date,
     parse_iso_ts,
+    parse_json,
     utc_now_second,
 )
 
@@ -98,6 +100,13 @@ class TestBenchmarkDataset:
         with pytest.raises(ContractError, match="fingerprint"):
             BenchmarkDataset(dataset_id="d", items=tuple(items), fingerprint="0" * 64)
 
+    @pytest.mark.parametrize(
+        "image_ref,ground_truth", [("", "x"), (5, "x"), (None, "x"), ("u", None), ("u", 7)]
+    )
+    def test_item_fields_are_text(self, image_ref, ground_truth):
+        with pytest.raises(ContractError):
+            BenchmarkItem(image_ref, ground_truth)
+
     def test_fingerprint_ignores_expected_label_order(self):
         a = dataset_fingerprint([BenchmarkItem("u", "x", frozenset({"a", "b"}))])
         b = dataset_fingerprint([BenchmarkItem("u", "x", frozenset({"b", "a"}))])
@@ -120,6 +129,15 @@ class TestThresholdRules:
             {"severity": {"label_delta": "error"}},
             {"severity": {"label_delta": "loud", "confidence_delta": "error",
                           "expected_labels": "error"}},
+            {"max_labels": 2.5},
+            {"max_labels": 3.0},
+            {"max_labels": True},
+            {"max_delta_labels": 2.5},
+            {"max_delta_labels": True},
+            {"min_confidence": False},
+            {"min_confidence": "0.5"},
+            {"max_delta_confidence": True},
+            {"max_delta_confidence": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -136,6 +154,18 @@ class TestThresholdRules:
         )
         assert ThresholdRules.from_dict(rules.to_dict()) == rules
 
+    def test_from_dict_takes_defaults_for_missing_fields(self):
+        assert ThresholdRules.from_dict({}) == ThresholdRules()
+        assert ThresholdRules.from_dict({"max_delta_confidence": 1}).max_delta_confidence == 1
+
+    @pytest.mark.parametrize("labels", ["cat", [1], {"cat": 1}, None])
+    def test_from_dict_takes_expected_labels_only_as_an_array_of_strings(self, labels):
+        with pytest.raises(ContractError, match="array of strings"):
+            ThresholdRules.from_dict({"expected_labels": labels})
+        item = {"image_ref": "u", "ground_truth": "", "expected_labels": labels}
+        with pytest.raises(ContractError, match="array of strings"):
+            BenchmarkItem.from_dict(item)
+
     def test_canonical_text_is_order_independent(self):
         a = ThresholdRules(expected_labels_global=frozenset({"x", "y"}))
         b = ThresholdRules(expected_labels_global=frozenset({"y", "x"}))
@@ -151,8 +181,36 @@ class TestTimestamps:
         moment = datetime(2019, 3, 1, 8, 49, 37, tzinfo=timezone.utc)
         assert parse_http_date(http_date(moment)) == moment
 
+    def test_http_date_with_an_unknown_zone_reads_as_utc(self):
+        moment = datetime(2019, 3, 1, 8, 49, 37, tzinfo=timezone.utc)
+        assert parse_http_date("Fri, 01 Mar 2019 08:49:37 -0000") == moment
+
     def test_now_is_second_precision(self):
         assert utc_now_second().microsecond == 0
+
+
+class TestParseJson:
+    @pytest.mark.parametrize(
+        "data,document",
+        [(b'{"k": [1, 2.5, null]}', {"k": [1, 2.5, None]}),
+         ('["é"]'.encode("utf-8"), ["é"]),
+         (b"\xef\xbb\xbf[1]", [1]),
+         (b"[" * 500 + b"]" * 500, json.loads("[" * 500 + "]" * 500))],
+        ids=["object", "utf-8", "byte order mark", "500 levels"],
+    )
+    def test_utf8_json_documents_parse(self, data, document):
+        assert parse_json(data) == document
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"{x}", b"[1] [2]", b'"\xff"', '["é"]'.encode("utf-16"), b"[" * 100_000,
+         b'{"a":' * 100_000],
+        ids=["empty", "not json", "two documents", "not utf-8", "utf-16", "deep array",
+             "deep object"],
+    )
+    def test_anything_else_is_a_value_error(self, data):
+        with pytest.raises(ValueError):
+            parse_json(data)
 
 
 @given(st.dictionaries(st.text(max_size=5), st.integers(), max_size=4))

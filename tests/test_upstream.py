@@ -1,4 +1,5 @@
 import json
+import logging
 import socket
 import sys
 import threading
@@ -34,6 +35,8 @@ DATASET = BenchmarkDataset.create(
     ],
 )
 RULES = ThresholdRules(max_labels=2)
+# deeper than json.loads can hold: RecursionError, not ValueError, at the parser
+DEEP_BODY = b"[" * 100_000
 
 
 def fast_client(endpoint, **kwargs):
@@ -92,6 +95,33 @@ class TestAnnotate:
             client = fast_client(upstream.endpoint)
             response = client.annotate(AnnotateRequest("http://x", 5))
         assert not response.success
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            DEEP_BODY,
+            b'{"responses": [\xff]}',
+            json.dumps(wire_reply({"x": 0.9})).encode("utf-16"),
+            json.dumps({"responses": [{"label_annotations": [
+                {"description": "x", "score": 10**400}]}]}).encode(),
+        ],
+        ids=["nested too deeply", "not utf-8", "utf-16", "score beyond the float range"],
+    )
+    def test_body_that_is_not_a_wire_reply_becomes_failure_response_with_a_warning(
+        self, raw, caplog
+    ):
+        caplog.set_level(logging.WARNING, logger="driftguard.upstream")
+        with ScriptedUpstream(lambda url, n: raw) as upstream:
+            response = fast_client(upstream.endpoint).annotate(AnnotateRequest("http://x", 5))
+        assert not response.success
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert message.startswith("unparseable upstream body for http://x: ")
+
+    def test_utf8_body_behind_a_byte_order_mark_is_read(self):
+        raw = b"\xef\xbb\xbf" + json.dumps(wire_reply({"x": 0.9})).encode()
+        with ScriptedUpstream(lambda url, n: raw) as upstream:
+            response = fast_client(upstream.endpoint).annotate(AnnotateRequest("http://x", 5))
+        assert response.confidences() == {"x": 0.9}
 
 
 class TestKeptAlive:
@@ -225,6 +255,12 @@ class TestSnapshot:
             snapshot = client.snapshot_benchmark(single, RULES)
         assert snapshot[0].success
         assert len(upstream.calls) == 3
+
+    def test_reply_nested_too_deeply_fails_its_item(self):
+        with ScriptedUpstream(lambda url, n: DEEP_BODY) as upstream:
+            snapshot = fast_client(upstream.endpoint, retries=2).snapshot_benchmark(DATASET, RULES)
+        assert [r.success for r in snapshot] == [False, False, False]
+        assert len(upstream.calls) == 6
 
     def test_rerun_against_unchanged_epoch_is_identical_modulo_capture_time(self):
         with SimulatorServer(SCRIPT) as sim:

@@ -103,6 +103,17 @@ class TestParse:
             {"responses": [{"label_annotations": [{"description": "", "score": 0.5}]}]},
             {"responses": [{"label_annotations": [{"description": "x", "score": "high"}]}]},
             {"responses": [{"label_annotations": [{"description": "x", "score": 1.2}]}]},
+            {"responses": [{"label_annotations": [{"description": "x", "score": True}]}]},
+            {"responses": [{"label_annotations": [{"description": 5, "score": 0.5}]}]},
+            {"responses": [{"label_annotations": [{"mid": 5, "description": "x", "score": 0.5}]}]},
+            {"responses": [{"label_annotations": [
+                {"description": "x", "score": 0.5, "topicality": "high"}]}]},
+            {"responses": [{"label_annotations": [
+                {"description": "x", "score": 0.5, "topicality": 1.5}]}]},
+            {"responses": [{"label_annotations": ["x"]}]},
+            {"responses": [{"label_annotations": [{"description": "x", "score": 10**400}]}]},
+            {"responses": [{"label_annotations": [
+                {"description": "x", "score": 0.5, "topicality": -(10**400)}]}]},
         ],
     )
     def test_malformed_bodies_raise(self, body):
