@@ -1,9 +1,9 @@
 """drift-guard command line.
 
 Subcommands: init (register a benchmark and mint the first token), serve
-(run the proxy plus scheduler), tick (force one detection run), replay
-(diff two captured corpora offline), tune (sweep thresholds over a corpus
-pair), simulate (run the deterministic mock upstream).
+(run the proxy and its detection loop), tick (force one detection run),
+replay (diff two captured corpora offline), tune (sweep thresholds over a
+corpus pair), simulate (run the deterministic mock upstream).
 
 Exit codes: 0 success, 2 invalid input (manifest, rules, script, corpus,
 or an unusable storage path or input file), 3 upstream or proxy
@@ -27,10 +27,9 @@ import threading
 from .config import ManifestError, load_config, load_rules_file, parse_manifest, resolve_config_path
 from .corpus import load_corpus_pair
 from .diffing import evaluate_epochs
-from .engine import GuardEngine, UpstreamUnreachable
+from .engine import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, GuardEngine, UpstreamUnreachable
 from .httpbase import post_json
 from .proxy import ProxyServer
-from .scheduler import OUTCOME_NO_CHANGE, OUTCOME_ROTATED, Scheduler
 from .simulator import SimulatorServer, parse_script
 from .token import TokenStore, validators
 from .tuner import tune_thresholds
@@ -135,7 +134,7 @@ def cmd_serve(args) -> int:
             lambda: ProxyServer(config, engine=engine),
             f"address {config.listen} is already in use",
             lambda server: f"listening on {server.base_url}",
-            Scheduler(engine, config.schedule_interval_secs),
+            engine,
         )
 
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--config", default=None, help="proxy config file")
     p_init.set_defaults(func=cmd_init)
 
-    p_serve = sub.add_parser("serve", help="run the proxy and scheduler")
+    p_serve = sub.add_parser("serve", help="run the proxy and its detection loop")
     p_serve.add_argument("--config", default=None, help="proxy config file")
     p_serve.set_defaults(func=cmd_serve)
 

@@ -8,6 +8,7 @@ expected labels (the third field may be empty or absent).
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 
 from .types import (
@@ -106,13 +107,17 @@ class ProxyConfig:
     rules: ThresholdRules = field(default_factory=ThresholdRules)
 
     def __post_init__(self):
-        if self.schedule_interval_secs <= 0:
-            raise ConfigError("schedule_interval_secs must be positive")
+        # the detection loop waits this long; NaN fails the comparison too
+        if not 0 < self.schedule_interval_secs <= threading.TIMEOUT_MAX:
+            raise ConfigError(
+                f"schedule_interval_secs must lie in (0, {threading.TIMEOUT_MAX:.0f}],"
+                f" got {self.schedule_interval_secs!r}"
+            )
         if self.violation_trigger_z < 1:
             raise ConfigError("violation_trigger_z must be at least 1")
         host, _, port = self.listen.rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigError(f"listen must be host:port, got {self.listen!r}")
+        if not host or not port.isdecimal() or int(port) > 65535:
+            raise ConfigError(f"listen must be host:port with a port in 0..65535, got {self.listen!r}")
 
     @property
     def listen_host(self) -> str:

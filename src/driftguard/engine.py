@@ -2,28 +2,31 @@
 
 The engine owns the token store (which holds the benchmark dataset and
 every file under the storage path), the upstream client, the
-precondition-failure counter, and the detection workflow. The HTTP layer
+precondition-failure counter, and detection runs. The HTTP layer
 translates requests into the engine's vocabulary and back.
 
 Request handling reads one atomic snapshot of the current token on entry
 and uses it throughout, so a detection run swapping the token mid-request
 never produces a torn view.
+
+A detection run re-probes the benchmark, diffs it against the live
+token's snapshot, and rotates the token only when drift crosses the
+operator's thresholds. Two triggers fire runs from the engine's one
+background loop: a fixed interval and a count of request-time
+precondition failures. Runs never overlap; a trigger landing during an
+active run waits for the next run, which every trigger that landed
+meanwhile shares.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from datetime import datetime
 
-from .diffing import evaluate_epochs
+from .diffing import EvolutionReport, evaluate_epochs
 from .httpbase import encode_json, post_json
-from .scheduler import (
-    OUTCOME_ABORTED,
-    OUTCOME_NO_CHANGE,
-    OUTCOME_ROTATED,
-    DetectionRun,
-)
 from .token import (
     AUDIT_FILE,
     DETECTIONS_FILE,
@@ -51,6 +54,14 @@ log = logging.getLogger(__name__)
 
 NOT_INITIALIZED = "not_initialized"
 
+TRIGGER_INTERVAL = "interval"
+TRIGGER_VIOLATION = "violation_threshold"
+TRIGGER_MANUAL = "manual"
+
+OUTCOME_NO_CHANGE = "no_change"
+OUTCOME_ROTATED = "token_rotated"
+OUTCOME_ABORTED = "aborted"
+
 
 class UpstreamUnreachable(RuntimeError):
     """Every benchmark item failed; there is nothing to baseline against."""
@@ -69,6 +80,39 @@ def filter_response(response: LabelledResponse, rules) -> LabelledResponse:
     return replace(response, annotations=kept)
 
 
+@dataclass(frozen=True)
+class DetectionRun:
+    """One detection run. An aborted run has no report and a reason; a run
+    that rotated the token names the old and the new one; a no-change run
+    that found violations on an unchanged snapshot says so in `reason`."""
+
+    started_at: datetime
+    finished_at: datetime
+    trigger: str
+    report: EvolutionReport | None = None
+    old_token_id: str | None = None
+    new_token_id: str | None = None
+    reason: str | None = None
+
+    @property
+    def outcome(self) -> str:
+        if self.report is None:
+            return OUTCOME_ABORTED
+        return OUTCOME_ROTATED if self.new_token_id else OUTCOME_NO_CHANGE
+
+    def to_dict(self) -> dict:
+        return {
+            "started_at": iso_ts(self.started_at),
+            "finished_at": iso_ts(self.finished_at),
+            "trigger": self.trigger,
+            "outcome": self.outcome,
+            "old_token_id": self.old_token_id,
+            "new_token_id": self.new_token_id,
+            "reason": self.reason,
+            "report": self.report.to_dict() if self.report is not None else None,
+        }
+
+
 class GuardEngine:
     def __init__(self, config, client: UpstreamClient | None = None, now_fn=utc_now_second):
         self.config = config
@@ -83,8 +127,11 @@ class GuardEngine:
         self._last_run: DetectionRun | None = None
         # (current token id, {requested token id: (error, encoded 412 body)})
         self._verdicts: tuple = (None, {})
-        # Set by the scheduler; called when the 412 counter reaches z.
-        self.on_violation_threshold = None
+        # the detection loop; its wake event is set when the 412 counter
+        # reaches z, and to stop the loop
+        self._wake = threading.Event()
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------ state
 
@@ -117,9 +164,9 @@ class GuardEngine:
         persist the first token. Raises ContractError on a bad manifest and
         UpstreamUnreachable when no item could be snapshotted at all."""
         items = tuple(items)
-        dataset = BenchmarkDataset.create(
-            dataset_id or "ds-" + dataset_fingerprint(items)[:12], items
-        )
+        if dataset_id in (None, ""):  # 0, false and any other non-text id fail below
+            dataset_id = "ds-" + dataset_fingerprint(items)[:12]
+        dataset = BenchmarkDataset.create(dataset_id, items)
         snapshot = self.client.snapshot_benchmark(dataset, rules)
         if not any(r.success for r in snapshot):
             raise UpstreamUnreachable(
@@ -162,14 +209,11 @@ class GuardEngine:
         failing is the proxy's own rotation at work, but the current one
         failing (code 3) may be mended by a re-probe."""
         self._audit({"kind": "precondition_failed", "url": url, "error_code": error.error_code})
-        hook = None
         if counted:
             with self._counter_lock:
                 self._violations_since_run += 1
                 if self._violations_since_run >= self.config.violation_trigger_z:
-                    hook = self.on_violation_threshold
-        if hook is not None:
-            hook()
+                    self._wake.set()
         return 412, {}, error.to_wire() if body is None else body
 
     def _verdict(self, requested, current, dataset):
@@ -244,6 +288,36 @@ class GuardEngine:
 
     # -------------------------------------------------------------- detection
 
+    def start(self):
+        """Start the detection loop: a run every schedule_interval_secs, and
+        one as soon as the 412 counter reaches z. The loop is the only
+        caller of interval and violation runs; manual runs share the run
+        lock with it."""
+        self._stop.clear()
+        self._thread = threading.Thread(target=self._loop, daemon=True, name="drift-guard-detection")
+        self._thread.start()
+
+    def stop(self):
+        self._stop.set()
+        self._wake.set()
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+            self._thread = None
+        self._wake.clear()  # a later start() must not take it for a z trigger
+
+    def _loop(self):
+        while not self._stop.is_set():
+            woken = self._wake.wait(timeout=self.config.schedule_interval_secs)
+            if self._stop.is_set():
+                break
+            self._wake.clear()
+            trigger = TRIGGER_VIOLATION if woken else TRIGGER_INTERVAL
+            try:
+                run = self.run_detection(trigger)
+                log.info("detection run (%s): %s", trigger, run.outcome)
+            except Exception:
+                log.exception("detection run failed")
+
     def run_detection(self, trigger: str) -> DetectionRun:
         """Execute one evolution-detection run, or share one. Runs never
         overlap: a call that queued behind a run returns the next run that
@@ -257,14 +331,8 @@ class GuardEngine:
             self._last_run = None
             try:
                 started = self._now()
-                outcome, details = self._detect()
-                run = DetectionRun(
-                    started_at=started,
-                    finished_at=self._now(),
-                    trigger=trigger,
-                    outcome=outcome,
-                    **details,
-                )
+                found = self._detect()
+                run = DetectionRun(started, self._now(), trigger, **found)
             finally:
                 with self._counter_lock:
                     self._violations_since_run = 0
@@ -275,12 +343,12 @@ class GuardEngine:
             self._post_callback({"kind": "detection", "run": record})
         return run
 
-    def _detect(self):
-        """Decide one run: returns its outcome and the DetectionRun fields
-        beyond the trigger and the timestamps."""
+    def _detect(self) -> dict:
+        """Probe, diff and maybe rotate: returns what the run found, the
+        DetectionRun fields beyond the trigger and the timestamps."""
         baseline = self.store.baseline()
         if baseline is None:
-            return OUTCOME_ABORTED, {"reason": NOT_INITIALIZED}
+            return {"reason": NOT_INITIALIZED}
         current, dataset = baseline
         snapshot = self.client.snapshot_benchmark(dataset, current.rules)
         failures = sum(1 for r in snapshot if not r.success)
@@ -289,17 +357,17 @@ class GuardEngine:
             # empty failure entries would fabricate label deltas.
             log.warning("detection aborted: %d/%d benchmark items failed", failures, len(snapshot))
             reason = f"snapshot_incomplete ({failures}/{len(snapshot)} items failed)"
-            return OUTCOME_ABORTED, {"reason": reason}
+            return {"reason": reason}
         report = evaluate_epochs(current.snapshot, snapshot, dataset, current.rules)
         if report.violating_images < 1:
-            return OUTCOME_NO_CHANGE, {"report": report}
+            return {"report": report}
         if snapshot_content(snapshot) == snapshot_content(current.snapshot):
             # Identical results can only flag a persistent expected-label
             # absence the operator already learned about when this token was
             # installed; rotating onto a content-identical token would
             # invalidate healthy clients for nothing.
             reason = "state_unchanged (persistent expected-labels violation)"
-            return OUTCOME_NO_CHANGE, {"report": report, "reason": reason}
+            return {"report": report, "reason": reason}
         new_token = mint_token(
             self.config.service_id, dataset, current.rules, snapshot, self._now()
         )
@@ -310,7 +378,7 @@ class GuardEngine:
             current.token_id,
             new_token.token_id,
         )
-        return OUTCOME_ROTATED, {
+        return {
             "report": report,
             "old_token_id": current.token_id,
             "new_token_id": new_token.token_id,

@@ -50,11 +50,13 @@ _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: .*)?\r?\n")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
+# json.dumps with any non-default option builds a new encoder on every call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def encode_json(payload) -> bytes:
     """The response body the servers send for a JSON payload."""
-    return (json.dumps(payload, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 class Headers(dict):

@@ -13,9 +13,8 @@ without either gets 428 Precondition Required; a malformed one gets 400.
 
 from __future__ import annotations
 
-from .engine import GuardEngine, UpstreamUnreachable
+from .engine import OUTCOME_ABORTED, TRIGGER_MANUAL, GuardEngine, UpstreamUnreachable
 from .httpbase import JsonHttpServer
-from .scheduler import OUTCOME_ABORTED
 from .token import ETagParseError, parse_etag, validators
 from .types import BenchmarkItem, ContractError, ThresholdRules, parse_http_date
 from .wire import WireFormatError, parse_wire_request
@@ -108,7 +107,7 @@ class ProxyServer(JsonHttpServer):
     def _post_detect(self):
         if not self.engine.initialized:
             return 409, {}, {"error": "initialise a benchmark before running detection"}
-        run = self.engine.run_detection("manual")
+        run = self.engine.run_detection(TRIGGER_MANUAL)
         payload = {
             "outcome": run.outcome,
             "old_token_id": run.old_token_id,

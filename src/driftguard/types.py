@@ -264,6 +264,8 @@ class BenchmarkDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
+        if not isinstance(self.dataset_id, str):
+            raise ContractError("dataset_id must be text")
         if not self.items:
             raise ContractError("benchmark dataset must contain at least one item")
         refs = [item.image_ref for item in self.items]
@@ -326,6 +328,8 @@ class ThresholdRules:
 
     def __post_init__(self):
         object.__setattr__(self, "expected_labels_global", frozenset(self.expected_labels_global))
+        if not isinstance(self.severity, dict):
+            raise ContractError("severity must be an object")
         object.__setattr__(self, "severity", dict(self.severity))
         # a bool is an int to Python but not a count or a confidence here
         if type(self.max_labels) is not int or self.max_labels < 1:

@@ -127,3 +127,16 @@ class InFlightGauge:
                     self._in_flight -= 1
 
         client.snapshot_benchmark = counted
+
+
+class SetRecorder(threading.Event):
+    """An Event that records each set(). Assigned to an engine's wake event,
+    it shows each time the 412 counter reached z."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = []
+
+    def set(self):
+        self.sets.append(True)
+        super().set()

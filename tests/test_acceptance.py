@@ -20,7 +20,6 @@ from driftguard.diffing import evaluate_epochs, format_signed_mean
 from driftguard.engine import GuardEngine
 from driftguard.ontology import OntologyChangeKind, classify_ontology_change
 from driftguard.proxy import ProxyServer
-from driftguard.scheduler import Scheduler
 from driftguard.simulator import (
     SimulatorServer,
     corpus_for_epoch,
@@ -328,17 +327,19 @@ def test_criterion_08_scheduler_triggers(tmp_path):
         original = engine.run_detection
         engine.run_detection = lambda trigger: runs.append(trigger) or original(trigger)
 
-        scheduler = Scheduler(engine, config.schedule_interval_secs)
-        scheduler.start()
+        engine.start()
         time.sleep(1.0)
-        scheduler.stop()
+        engine.stop()
         assert len(runs) >= 3
         assert gauge.max_seen == 1
 
-        # violation trigger: third 412 fires a run without waiting
+        # violation trigger: third 412 fires a run without waiting, from an
+        # engine on the same storage and client whose interval never elapses
         runs.clear()
-        scheduler = Scheduler(engine, interval_secs=10_000)
-        scheduler.start()
+        engine = GuardEngine(replace(config, schedule_interval_secs=10_000), client=engine.client)
+        original = engine.run_detection
+        engine.run_detection = lambda trigger: runs.append(trigger) or original(trigger)
+        engine.start()
         try:
             for _ in range(2):
                 engine.annotate("http://images.test/a.jpg", None, ("etag", "f" * 16))
@@ -349,7 +350,7 @@ def test_criterion_08_scheduler_triggers(tmp_path):
             while not runs and time.monotonic() < deadline:
                 time.sleep(0.02)
         finally:
-            scheduler.stop()
+            engine.stop()
         assert runs and runs[0] == "violation_threshold"
         assert gauge.max_seen == 1
 

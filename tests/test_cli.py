@@ -402,6 +402,24 @@ class TestInit:
         assert code == 2
         assert "proxy rejected the benchmark" in capsys.readouterr().err
 
+    def test_proxy_answering_502_is_exit_3(self, tmp_path, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+        thread = answer_once(listener, http_reply(502, b'{"error": "all 1 benchmark requests failed"}'))
+        manifest = tmp_path / "mini.tsv"
+        manifest.write_text("http://images.test/a.jpg\tcat\n", encoding="utf-8")
+        listen = f"127.0.0.1:{listener.getsockname()[1]}"
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
+        try:
+            code = main(["init", "--manifest", str(manifest), "--config", str(config_path)])
+        finally:
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "drift-guard: upstream unreachable: all 1 benchmark requests failed\n"
+        )
+
     def test_listener_that_resets_is_exit_3_and_writes_nothing(self, tmp_path, capsys):
         listener = socket.create_server(("127.0.0.1", 0))
 
@@ -554,6 +572,20 @@ class TestServeAndTick:
             assert "detection aborted" in captured.err
             assert captured.out == ""
 
+    def test_tick_reaches_a_proxy_listening_on_every_address_through_loopback(self, tmp_path, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+        thread = answer_once(listener, http_reply(202, b'{"outcome": "no_change"}'))
+        listen = f"0.0.0.0:{listener.getsockname()[1]}"
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", listen=listen)
+        try:
+            code = main(["tick", "--config", str(config_path)])
+        finally:
+            thread.join(5)
+            listener.close()
+        assert not thread.is_alive()
+        assert code == 0
+        assert capsys.readouterr().out == "no_change\n"
+
     def test_serve_port_in_use_exit_4(self, tmp_path):
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
@@ -580,6 +612,33 @@ class TestServeAndTick:
         assert proc.returncode == 2, err
         assert err.startswith("drift-guard: ") and str(storage) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"schedule_interval_secs": "nan"},
+            {"schedule_interval_secs": "inf"},
+            {"schedule_interval_secs": "1e10"},
+            {"schedule_interval_secs": "soon"},
+            {"violation_trigger_z": "three"},
+            {"listen": "127.0.0.1:99999"},
+        ],
+        ids=lambda override: "=".join(*override.items()),
+    )
+    def test_config_the_loop_or_the_bind_cannot_use_is_exit_2(self, tmp_path, override):
+        """An interval the detection loop cannot wait (NaN runs it back to
+        back, more than threading.TIMEOUT_MAX kills it), a port bind()
+        refuses, or a number that does not parse stops serve before it
+        touches the storage path."""
+        config_path, _ = write_config(tmp_path, "http://127.0.0.1:1/annotate", **override)
+        proc = spawn(["serve", "--config", str(config_path)])
+        try:
+            out, err = proc.communicate(timeout=15)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2, err
+        assert err.startswith("drift-guard: ") and "Traceback" not in err
+        assert not (tmp_path / "storage").exists()
 
     def test_unreadable_newest_token_is_exit_2(self, tmp_path):
         self.serve_with_a_damaged_newest_token(tmp_path, lambda data: data[:100])

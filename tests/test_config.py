@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from driftguard.config import (
@@ -85,6 +87,27 @@ class TestConfig:
                 "'2.5'",
             ),
             ("listen=h:1\n = value\n", "guard.conf:2: empty key"),
+            # the detection loop cannot wait NaN (it would run back to back)
+            # or more than threading.TIMEOUT_MAX seconds (the wait raises)
+            *(
+                (
+                    "listen=h:1\nupstream_url=u\nservice_id=s\nstorage_path=p\n"
+                    f"schedule_interval_secs={value}\n",
+                    "schedule_interval_secs must lie in",
+                )
+                for value in ("nan", "inf", "1e10", "0")
+            ),
+            ("listen=h:99999\nupstream_url=u\nservice_id=s\nstorage_path=p\n", "0..65535"),
+            (
+                "listen=h:1\nupstream_url=u\nservice_id=s\nstorage_path=p\n"
+                "schedule_interval_secs=soon\n",
+                "'soon'",
+            ),
+            (
+                "listen=h:1\nupstream_url=u\nservice_id=s\nstorage_path=p\n"
+                "violation_trigger_z=three\n",
+                "'three'",
+            ),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, match):
@@ -92,6 +115,17 @@ class TestConfig:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+
+def test_longest_interval_and_highest_port_are_accepted(tmp_path):
+    path = tmp_path / "guard.conf"
+    path.write_text(
+        "listen=h:65535\nupstream_url=u\nservice_id=s\nstorage_path=p\n"
+        f"schedule_interval_secs={threading.TIMEOUT_MAX!r}\n",
+        encoding="utf-8",
+    )
+    config = load_config(path)
+    assert (config.listen_port, config.schedule_interval_secs) == (65535, threading.TIMEOUT_MAX)
 
 
 class TestConfigPathResolution:

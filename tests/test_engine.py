@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given
 
 from driftguard.config import ProxyConfig
-from driftguard.engine import GuardEngine
+from driftguard.engine import OUTCOME_ROTATED, GuardEngine
 from driftguard.httpbase import encode_json
-from driftguard.scheduler import OUTCOME_ROTATED
 from driftguard.token import LEGACY_DATASET_FILE, BehaviourToken, mint_token, validate
 from driftguard.types import (
     BenchmarkDataset,
@@ -32,6 +31,7 @@ from driftguard.types import (
 
 import reference_fixtures as refs
 from gen_strategies import T0, T1
+from netutil import SetRecorder
 
 DATASET = BenchmarkDataset.create("fixtures", refs.FIXTURE_ITEMS)
 OLD, NEW = refs.fixture_snapshots()
@@ -164,22 +164,20 @@ class TestCounting:
         engine = make_engine(tmp_path, z=2)
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, [failed(NEW[0]), *NEW[1:]], T1)
         install(engine, current)
-        fired = []
-        engine.on_violation_threshold = lambda: fired.append(True)
+        engine._wake = fired = SetRecorder()
         for _ in range(2):
             status, _, body = engine.annotate(URL, None, ("etag", current.token_id))
             assert (status, json.loads(body)["error_code"]) == (412, 3)
-        assert engine.violations_since_run() == 2 and fired == [True]
+        assert engine.violations_since_run() == 2 and fired.sets == [True]
 
     def test_predecessor_412_does_not_count_on_a_hit(self, tmp_path):
         engine = make_engine(tmp_path, z=1)
         predecessor = mint_token("vision", DATASET, refs.FIXTURE_RULES, OLD, T0)
         install(engine, predecessor, mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1))
-        fired = []
-        engine.on_violation_threshold = lambda: fired.append(True)
+        engine._wake = fired = SetRecorder()
         for token_ref in [("etag", predecessor.token_id)] * 2 + [("date", T0)]:
             assert engine.annotate(URL, None, token_ref)[0] == 412
-        assert engine.violations_since_run() == 0 and fired == []
+        assert engine.violations_since_run() == 0 and fired.sets == []
 
     def test_rotation_serves_no_verdict_of_the_old_current_token(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -274,6 +272,18 @@ class TestStorageFiles:
         assert (status, body["error_code"]) == (412, 0)
         warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
         assert len(warnings) == 1 and str(path) in warnings[0]
+
+    def test_dataset_file_with_a_non_text_id_is_skipped_with_a_warning(self, tmp_path, caplog):
+        # as POST /benchmark of an earlier version stored a dataset_id of 5
+        current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)
+        install(make_engine(tmp_path), current)
+        path = dataset_file(tmp_path)
+        path.write_text(canonical_json({**DATASET.to_dict(), "dataset_id": 5}) + "\n", encoding="utf-8")
+        caplog.set_level(logging.WARNING, logger="driftguard.token")
+        engine = make_engine(tmp_path)
+        assert not engine.initialized
+        warnings = [r.getMessage() for r in caplog.records if r.name == "driftguard.token"]
+        assert len(warnings) == 1 and str(path) in warnings[0] and "dataset_id" in warnings[0]
 
     def test_dataset_of_another_token_is_not_initialized_after_restart(self, tmp_path):
         current = mint_token("vision", DATASET, refs.FIXTURE_RULES, NEW, T1)

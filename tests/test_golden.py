@@ -17,10 +17,9 @@ from unittest import mock
 import requests
 
 from driftguard.config import ProxyConfig
-from driftguard.engine import GuardEngine
+from driftguard.engine import OUTCOME_ROTATED, GuardEngine
 from driftguard.httpbase import encode_json
 from driftguard.proxy import ProxyServer
-from driftguard.scheduler import OUTCOME_ROTATED
 from driftguard.simulator import SimulatorServer, random_drift_script
 from driftguard.token import etag_of
 from driftguard.types import ThresholdRules

@@ -4,6 +4,7 @@ defines is used in it: unused-import and dead-code checks that need no
 linter."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -129,3 +130,12 @@ def test_only_httpbase_speaks_http(path):
         (line, name) for line, name in imported_modules(tree)
         if any(name == f or name.startswith(f + ".") for f in forbidden)
     ] == []
+
+
+def test_package_layout_lists_every_module():
+    """README's "Package layout" block names each module of the package,
+    and no module that is gone."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Package layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py) ", block, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(path.name for path in PACKAGE.glob("*.py"))

@@ -85,6 +85,13 @@ def test_multiple_parents_allowed():
     )
 
 
+def test_diamond_taxonomy_revisits_the_shared_ancestor_once():
+    taxonomy = OntologyTaxonomy.from_pairs([("d", "b"), ("d", "c"), ("b", "a"), ("c", "a")])
+    assert taxonomy.is_ancestor("a", "d")
+    assert not taxonomy.is_ancestor("e", "d")  # walks both paths up to "a"
+    assert classify_ontology_change("d", "e", taxonomy) == OntologyChangeKind.EMPHASIS_CHANGE
+
+
 _random_edges = st.lists(
     st.tuples(st.integers(0, 12), st.integers(0, 12)).map(
         # child index always below parent index keeps the graph acyclic

@@ -143,6 +143,14 @@ class TestBenchmarkEndpoint:
             '"items": [{"image_ref": "u", "ground_truth": ["cat"]}]',
             '"items": [{"image_ref": "u"}]',
             '"rules": {"severity": "error"}',
+            '"dataset_id": 5',
+            '"dataset_id": {"a": 1}',
+            '"dataset_id": ["x"]',
+            '"dataset_id": true',
+            '"dataset_id": false',
+            '"dataset_id": 0',
+            '"rules": {"severity": [["label_delta", "error"], ["confidence_delta", "error"],'
+            ' ["expected_labels", "error"]]}',
         ],
     )
     def test_wrong_typed_field_is_400_before_any_upstream_call(self, stack, field):

@@ -10,9 +10,7 @@ import requests
 
 from driftguard.config import ProxyConfig
 from driftguard.diffing import evaluate_epochs
-from driftguard.engine import GuardEngine
-from driftguard.proxy import ProxyServer
-from driftguard.scheduler import (
+from driftguard.engine import (
     OUTCOME_ABORTED,
     OUTCOME_NO_CHANGE,
     OUTCOME_ROTATED,
@@ -20,27 +18,28 @@ from driftguard.scheduler import (
     TRIGGER_MANUAL,
     TRIGGER_VIOLATION,
     DetectionRun,
-    Scheduler,
+    GuardEngine,
 )
+from driftguard.proxy import ProxyServer
 from driftguard.simulator import SimulatorServer, parse_script
 from driftguard.token import validate
-from driftguard.types import ContractError, ThresholdRules, utc_now_second
+from driftguard.types import ThresholdRules, utc_now_second
 from driftguard.upstream import UpstreamClient
 
-from netutil import CallbackReceiver, InFlightGauge
+from netutil import CallbackReceiver, InFlightGauge, SetRecorder
 from test_proxy import DRIFT_SCRIPT, MANIFEST_ITEMS
 
 T0 = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 
-def make_engine(sim, tmp_path, callback_url=None, z=3):
+def make_engine(sim, tmp_path, callback_url=None, z=3, interval=10_000):
     config = ProxyConfig(
         listen="127.0.0.1:0",
         upstream_url=sim.endpoint,
         service_id="vision-main",
         storage_path=str(tmp_path / "storage"),
         warning_callback_url=callback_url,
-        schedule_interval_secs=10_000,
+        schedule_interval_secs=interval,
         violation_trigger_z=z,
         rules=ThresholdRules(max_labels=5),
     )
@@ -69,38 +68,26 @@ def sim():
         yield server
 
 
-class TestDetectionRunContract:
-    def make_report(self, violating):
-        from driftguard.types import BenchmarkDataset, BenchmarkItem
+class TestDetectionRunOutcome:
+    def test_outcome_follows_from_what_the_run_found(self):
+        from driftguard.types import BenchmarkDataset
 
         import reference_fixtures as refs
 
         old, new = refs.fixture_snapshots()
         dataset = BenchmarkDataset.create("fixtures", refs.FIXTURE_ITEMS)
-        target = new if violating else old
-        return evaluate_epochs(old, target, dataset, refs.FIXTURE_RULES)
-
-    def test_rotated_requires_violations_and_ids(self):
-        clean = self.make_report(violating=False)
-        with pytest.raises(ContractError):
-            DetectionRun(T0, T0, TRIGGER_MANUAL, OUTCOME_ROTATED, report=clean,
-                         old_token_id="a", new_token_id="b")
-        drifted = self.make_report(violating=True)
-        with pytest.raises(ContractError):
-            DetectionRun(T0, T0, TRIGGER_MANUAL, OUTCOME_ROTATED, report=drifted)
-
-    def test_no_change_requires_clean_report(self):
-        drifted = self.make_report(violating=True)
-        with pytest.raises(ContractError):
-            DetectionRun(T0, T0, TRIGGER_MANUAL, OUTCOME_NO_CHANGE, report=drifted)
-
-    def test_aborted_requires_reason(self):
-        with pytest.raises(ContractError):
-            DetectionRun(T0, T0, TRIGGER_MANUAL, OUTCOME_ABORTED)
-
-    def test_unknown_trigger_rejected(self):
-        with pytest.raises(ContractError):
-            DetectionRun(T0, T0, "cosmic_ray", OUTCOME_ABORTED, reason="x")
+        report = evaluate_epochs(old, new, dataset, refs.FIXTURE_RULES)
+        assert report.violating_images >= 1
+        found = [
+            ({"reason": "not_initialized"}, OUTCOME_ABORTED),
+            ({"report": report}, OUTCOME_NO_CHANGE),
+            ({"report": report, "reason": "state_unchanged"}, OUTCOME_NO_CHANGE),
+            ({"report": report, "old_token_id": "a", "new_token_id": "b"}, OUTCOME_ROTATED),
+        ]
+        for fields, outcome in found:
+            run = DetectionRun(T0, T0, TRIGGER_MANUAL, **fields)
+            assert run.outcome == outcome
+            assert run.to_dict()["outcome"] == outcome
 
 
 class TestRunDetection:
@@ -254,13 +241,12 @@ class TestRunDetection:
         old = init_engine(engine)
         sim.advance_epoch()
         assert engine.run_detection(TRIGGER_MANUAL).outcome == OUTCOME_ROTATED
-        fired = []
-        engine.on_violation_threshold = lambda: fired.append(True)
+        engine._wake = fired = SetRecorder()
         for token_ref in (("etag", old.token_id), ("date", old.created_at)):
             assert engine.annotate(url, None, token_ref)[0] == 412
-        assert engine.violations_since_run() == 0 and fired == []
+        assert engine.violations_since_run() == 0 and fired.sets == []
         assert engine.annotate(url, None, ("etag", "f" * 16))[0] == 412
-        assert engine.violations_since_run() == 1 and fired == [True]
+        assert engine.violations_since_run() == 1 and fired.sets == [True]
 
     def test_current_token_failing_still_counts_toward_z(self, sim, tmp_path):
         from driftguard.types import BenchmarkItem
@@ -271,32 +257,30 @@ class TestRunDetection:
             [*engine_items(), ghost], engine.config.rules
         )
         assert current.success is False
-        fired = []
-        engine.on_violation_threshold = lambda: fired.append(True)
+        engine._wake = fired = SetRecorder()
         status, _, body = engine.annotate(
             "http://images.test/a.jpg", None, ("etag", current.token_id)
         )
         assert (status, json.loads(body)["error_code"]) == (412, 3)
-        assert fired == [True]
+        assert fired.sets == [True]
 
 
 class TestSchedulerLoop:
     def test_interval_ticks_fire_repeatedly(self, sim, tmp_path):
-        _, engine = make_engine(sim, tmp_path)
+        _, engine = make_engine(sim, tmp_path, interval=0.2)
         init_engine(engine)
         runs = []
         original = engine.run_detection
         engine.run_detection = lambda trigger: runs.append(trigger) or original(trigger)
-        scheduler = Scheduler(engine, interval_secs=0.2)
-        scheduler.start()
+        engine.start()
         time.sleep(1.1)
-        scheduler.stop()
+        engine.stop()
         assert len(runs) >= 3
         assert set(runs) == {TRIGGER_INTERVAL}
 
     def test_run_that_raises_is_logged_and_the_loop_goes_on(self, sim, tmp_path, caplog):
-        caplog.set_level(logging.ERROR, logger="driftguard.scheduler")
-        _, engine = make_engine(sim, tmp_path)
+        caplog.set_level(logging.ERROR, logger="driftguard.engine")
+        _, engine = make_engine(sim, tmp_path, interval=0.1)
         runs = []
 
         def failing(trigger):
@@ -304,10 +288,9 @@ class TestSchedulerLoop:
             raise RuntimeError("probe exploded")
 
         engine.run_detection = failing
-        scheduler = Scheduler(engine, interval_secs=0.1)
-        scheduler.start()
+        engine.start()
         time.sleep(0.45)
-        scheduler.stop()
+        engine.stop()
         assert len(runs) >= 2
         failures = [r for r in caplog.records if r.getMessage() == "detection run failed"]
         assert len(failures) == len(runs)
@@ -319,8 +302,7 @@ class TestSchedulerLoop:
         runs = []
         original = engine.run_detection
         engine.run_detection = lambda trigger: runs.append(trigger) or original(trigger)
-        scheduler = Scheduler(engine, interval_secs=10_000)
-        scheduler.start()
+        engine.start()
         try:
             for _ in range(2):
                 engine.annotate("http://images.test/a.jpg", None, ("etag", "f" * 16))
@@ -331,15 +313,24 @@ class TestSchedulerLoop:
             while not runs and time.monotonic() < deadline:
                 time.sleep(0.02)
         finally:
-            scheduler.stop()
+            engine.stop()
         assert runs and runs[0] == TRIGGER_VIOLATION
 
+    def test_a_stopped_loop_restarts_without_a_run(self, sim, tmp_path):
+        _, engine = make_engine(sim, tmp_path)
+        runs = []
+        engine.run_detection = runs.append
+        for _ in range(2):
+            engine.start()
+            time.sleep(0.2)
+            engine.stop()
+        assert runs == []
+
     def test_runs_never_overlap(self, sim, tmp_path):
-        _, engine = make_engine(sim, tmp_path, z=1)
+        _, engine = make_engine(sim, tmp_path, z=1, interval=0.05)
         init_engine(engine)
         gauge = InFlightGauge(engine.client)
-        scheduler = Scheduler(engine, interval_secs=0.05)
-        scheduler.start()
+        engine.start()
         threads = [
             threading.Thread(target=engine.run_detection, args=(TRIGGER_MANUAL,))
             for _ in range(4)
@@ -353,7 +344,7 @@ class TestSchedulerLoop:
                 thread.join()
             time.sleep(0.4)
         finally:
-            scheduler.stop()
+            engine.stop()
         assert gauge.max_seen == 1
 
     def test_detection_never_blocks_annotate(self, sim, tmp_path):
@@ -384,9 +375,8 @@ class TestSchedulerLoop:
 class TestServeIntegration:
     def test_proxy_annotate_feeds_z_trigger(self, sim, tmp_path):
         config, engine = make_engine(sim, tmp_path, z=2)
-        scheduler = Scheduler(engine, interval_secs=10_000)
         with ProxyServer(config, engine=engine) as proxy:
-            scheduler.start()
+            engine.start()
             try:
                 requests.post(
                     f"{proxy.base_url}/benchmark", json={"items": MANIFEST_ITEMS}, timeout=10
@@ -407,4 +397,4 @@ class TestServeIntegration:
                 text = log_path.read_text(encoding="utf-8")
                 assert '"trigger":"violation_threshold"' in text
             finally:
-                scheduler.stop()
+                engine.stop()

@@ -57,6 +57,10 @@ class TestParse:
         script = parse_script("[epoch 0]\nadd u cat 0.9\n[epoch 1]\nreplace_top u dog\n")
         assert script.epochs[1]["u"][0] == Transformation("replace_top", "dog", None)
 
+    def test_replace_top_without_a_trailing_number_takes_every_word_as_label(self):
+        script = parse_script("[epoch 0]\nadd u cat 0.9\n[epoch 1]\nreplace_top u motor vehicle\n")
+        assert script.epochs[1]["u"][0] == Transformation("replace_top", "motor vehicle", None)
+
     @pytest.mark.parametrize(
         "text,match",
         [
@@ -67,6 +71,9 @@ class TestParse:
             ("[epoch 0]\nadd u x abc\n", "not numeric"),
             ("[epoch zero]\n", "must be an integer"),
             ("", "no epochs"),
+            ("[epoch 0\n", "unterminated section header"),
+            ("[season 0]\n", r"expected \[epoch N\]"),
+            ("[epoch 0]\ndrop u\n", "needs an image_ref and a label"),
         ],
     )
     def test_errors_carry_context(self, text, match):
@@ -116,6 +123,10 @@ class TestStates:
             build_epoch_states(parse_script("[epoch 0]\nadd u x 0.5\nadd u x 0.6\n"))
         with pytest.raises(ScriptError, match="shift of unknown"):
             build_epoch_states(parse_script("[epoch 0]\nshift u ghost 0.1\n"))
+        with pytest.raises(ScriptError, match="replace_top on an empty label set"):
+            build_epoch_states(parse_script("[epoch 0]\nreplace_top u dog\n"))
+        with pytest.raises(ScriptError, match="replace_top target 'dog' already present"):
+            build_epoch_states(parse_script("[epoch 0]\nadd u cat 0.9\nadd u dog 0.5\nreplace_top u dog\n"))
 
     def test_shift_clamps_to_unit_interval(self):
         states = build_epoch_states(
@@ -189,6 +200,9 @@ class TestServer:
 
     def test_unknown_image_is_wire_404(self, server):
         assert self.annotate(server, "http://images.test/ghost.jpg").status_code == 404
+
+    def test_get_of_an_unknown_path_is_404(self, server):
+        assert requests.get(f"{server.base_url}/nowhere", timeout=5).status_code == 404
 
     @pytest.mark.parametrize(
         "body",

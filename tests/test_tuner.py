@@ -34,7 +34,9 @@ class TestGridValidation:
 
     @pytest.mark.parametrize(
         "label_grid,confidence_grid",
-        [([0, 1], [0.01]), ([1], [0.0, 0.5]), ([1], [0.5, 1.5])],
+        # the last three: label grids of values that are not integers
+        [([0, 1], [0.01]), ([1], [0.0, 0.5]), ([1], [0.5, 1.5]), ([1.5], [0.01]), ([1, 2.0], [0.01]),
+         ([True], [0.01])],
     )
     def test_out_of_range_grid_rejected(self, fixture_corpus, label_grid, confidence_grid):
         dataset, old, new = fixture_corpus

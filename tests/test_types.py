@@ -107,6 +107,11 @@ class TestBenchmarkDataset:
         with pytest.raises(ContractError):
             BenchmarkItem(image_ref, ground_truth)
 
+    @pytest.mark.parametrize("dataset_id", [5, True, None, ["x"], {"a": 1}])
+    def test_dataset_id_is_text(self, dataset_id):
+        with pytest.raises(ContractError, match="dataset_id"):
+            BenchmarkDataset.create(dataset_id, [BenchmarkItem("u", "x")])
+
     def test_fingerprint_ignores_expected_label_order(self):
         a = dataset_fingerprint([BenchmarkItem("u", "x", frozenset({"a", "b"}))])
         b = dataset_fingerprint([BenchmarkItem("u", "x", frozenset({"b", "a"}))])
@@ -138,6 +143,8 @@ class TestThresholdRules:
             {"min_confidence": "0.5"},
             {"max_delta_confidence": True},
             {"max_delta_confidence": float("nan")},
+            {"severity": [("label_delta", "error"), ("confidence_delta", "error"),
+                          ("expected_labels", "error")]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
